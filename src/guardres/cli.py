@@ -83,14 +83,16 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _read_program(path: str) -> Program:
-    if path == "-":
-        text = sys.stdin.read()
-    else:
-        try:
+    try:
+        if path == "-":
+            text = sys.stdin.read()
+        else:
             with open(path, encoding="utf-8") as handle:
                 text = handle.read()
-        except OSError as exc:
-            raise _CliError(f"cannot read {path}: {exc.strerror}") from exc
+    except OSError as exc:
+        raise _CliError(f"cannot read {path}: {exc.strerror}") from exc
+    except UnicodeDecodeError as exc:
+        raise _CliError(f"cannot read {path}: {exc}") from exc
     return parse_program(text)
 
 
@@ -116,6 +118,10 @@ def _model_sort_key(program: Program):
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:
+    if args.limit is not None and args.limit < 1:
+        raise _CliError("--limit N must be at least 1")
+    if args.jobs < 1:
+        raise _CliError("--jobs N must be at least 1")
     program = _read_program(args.file)
     if args.certs and args.engine != "candidate":
         raise _CliError("--certs requires --engine candidate")
@@ -129,7 +135,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         if args.limit is not None:
             models = models[:args.limit]
     else:
-        pairs = solve_stable(program, args.limit, jobs=max(1, args.jobs))
+        pairs = solve_stable(program, args.limit, jobs=args.jobs)
         models = [model for model, _ in pairs]
         certificates = {model: candidate for model, candidate in pairs}
     for members in sorted(set(models), key=_model_sort_key(program)):

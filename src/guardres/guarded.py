@@ -372,7 +372,7 @@ def proof_from_sexp(text: str, table: AtomTable) -> ProofTree:
     def atom_set() -> frozenset[int]:
         take("(")
         ids = []
-        while tokens[pos] != ")":
+        while pos < len(tokens) and tokens[pos] != ")":
             ids.append(atom_id(take()))
         take(")")
         return frozenset(ids)

@@ -1,16 +1,19 @@
 """Propositional layer: CNF theories, a plain DPLL solver, DIMACS export.
 
 Literals are `(atom_id, polarity)` pairs.  The solver is deliberately
-minimal — unit propagation plus chronological backtracking with a fixed
-branching order (lowest unassigned atom id, false first) — so model
-orders are reproducible and golden tests stay byte-stable.
+minimal — unit propagation over per-literal occurrence lists plus
+chronological backtracking on an explicit trail, with a fixed branching
+order (lowest unassigned atom id, false first) — so model orders are
+reproducible and golden tests stay byte-stable.  Enumeration is the same
+search continued past each model, with no blocking clauses and no
+restarts.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator, Mapping
 
 from .core import AtomTable, Program, ResourceLimitError, interpretation_key
 
@@ -118,32 +121,106 @@ def equation_to_cnf(atom: int, supports: tuple,
     return [c for c in clauses if c is not None]
 
 
-def _unit_propagate(clauses: Iterable[CnfClause], assign: dict) -> CnfClause | None:
-    """Extend `assign` to unit closure; return a falsified clause or None."""
-    changed = True
-    while changed:
-        changed = False
-        for clause in clauses:
-            unassigned: Literal | None = None
-            unassigned_count = 0
-            satisfied = False
-            for atom, polarity in clause.literals:
-                value = assign.get(atom)
-                if value is None:
-                    unassigned = (atom, polarity)
-                    unassigned_count += 1
-                elif value == polarity:
-                    satisfied = True
+def _compile(theory: CnfTheory) -> tuple[list[tuple], list[tuple[list[int], list[int]]]]:
+    """Literal tuples, plus `falsified_by[atom][value]`: the indices of the
+    clauses holding the literal that `atom = value` makes false, i.e. the
+    only clauses that assignment can turn unit or falsified."""
+    n = len(theory.atoms)
+    clauses = [tuple(clause.literals) for clause in theory.clauses]
+    falsified_by: list[tuple[list[int], list[int]]] = [([], []) for _ in range(n)]
+    for index, literals in enumerate(clauses):
+        for atom, polarity in literals:
+            if not 0 <= atom < n:
+                raise ValueError(f"literal on atom id {atom} outside the theory")
+            falsified_by[atom][not polarity].append(index)
+    return clauses, falsified_by
+
+
+def _assign(atom: int, value: bool, clauses: list[tuple],
+            falsified_by: list[tuple[list[int], list[int]]],
+            values: list[bool | None], trail: list[int]) -> bool:
+    """Set `atom`, push it on `trail`, and extend `values` to unit closure.
+
+    False on a conflict; the trail then holds a partial closure, which the
+    caller undoes.
+    """
+    values[atom] = value
+    head = len(trail)
+    trail.append(atom)
+    while head < len(trail):
+        current = trail[head]
+        head += 1
+        for index in falsified_by[current][values[current]]:
+            free = None
+            for lit_atom, polarity in clauses[index]:
+                lit_value = values[lit_atom]
+                if lit_value is None:
+                    if free is not None:
+                        break
+                    free = lit_atom, polarity
+                elif lit_value == polarity:
                     break
-            if satisfied:
+            else:
+                if free is None:
+                    return False
+                values[free[0]] = free[1]
+                trail.append(free[0])
+    return True
+
+
+def _search(theory: CnfTheory,
+            assumptions: Mapping[int, bool] | None = None) -> Iterator[frozenset[int]]:
+    """Yield every model extending `assumptions`, in depth-first order.
+
+    One search per call: the clauses are compiled once, assignments live
+    on an explicit trail, and after each total model the search simply
+    backtracks and continues.  Branching takes the lowest unassigned atom
+    id, false first, so the first model yielded is the one `dpll_solve`
+    returns.
+    """
+    n = len(theory.atoms)
+    clauses, falsified_by = _compile(theory)
+    values: list[bool | None] = [None] * n
+    trail: list[int] = []
+
+    roots = [(atom, bool(value)) for atom, value in (assumptions or {}).items()]
+    for atom, _ in roots:
+        if not 0 <= atom < n:
+            raise ValueError(f"assumption on atom id {atom} outside the theory")
+    if any(not literals for literals in clauses):
+        return
+    roots += [literals[0] for literals in clauses if len(literals) == 1]
+    for atom, value in roots:
+        if values[atom] is None:
+            if not _assign(atom, value, clauses, falsified_by, values, trail):
+                return
+        elif values[atom] != value:
+            return
+
+    # decisions[i] = (trail length before the decision, decided atom); every
+    # open decision holds false, and its true branch is still to come.
+    decisions: list[tuple[int, int]] = []
+    while True:
+        var = decisions[-1][1] + 1 if decisions else 0
+        while var < n and values[var] is not None:
+            var += 1
+        if var == n:
+            yield frozenset(atom for atom in range(n) if values[atom])
+        else:
+            decisions.append((len(trail), var))
+            if _assign(var, False, clauses, falsified_by, values, trail):
                 continue
-            if unassigned_count == 0:
-                return clause
-            if unassigned_count == 1:
-                atom, polarity = unassigned
-                assign[atom] = polarity
-                changed = True
-    return None
+        # Chronological backtracking: flip the newest open decision to
+        # true, as an implied literal of the level below it.
+        while True:
+            if not decisions:
+                return
+            mark, var = decisions.pop()
+            for atom in trail[mark:]:
+                values[atom] = None
+            del trail[mark:]
+            if _assign(var, True, clauses, falsified_by, values, trail):
+                break
 
 
 def dpll_solve(theory: CnfTheory,
@@ -153,41 +230,15 @@ def dpll_solve(theory: CnfTheory,
     Deterministic: propagate to closure, then branch on the lowest
     unassigned atom id with false first.
     """
-    n = len(theory.atoms)
-    clauses = theory.clauses
-
-    def search(assign: dict) -> dict | None:
-        if _unit_propagate(clauses, assign) is not None:
-            return None
-        var = next((v for v in range(n) if v not in assign), None)
-        if var is None:
-            return assign
-        for value in (False, True):
-            result = search({**assign, var: value})
-            if result is not None:
-                return result
+    model = next(_search(theory, assumptions), None)
+    if model is None:
         return None
-
-    return search(dict(assumptions or {}))
+    return {atom: atom in model for atom in range(len(theory.atoms))}
 
 
 def enumerate_models(theory: CnfTheory) -> list[frozenset[int]]:
-    """All models, via DPLL with blocking clauses, in ascending bitmask order."""
-    n = len(theory.atoms)
-    if n == 0:
-        return [] if any(not c.literals for c in theory.clauses) else [frozenset()]
-    clauses = list(theory.clauses)
-    models: list[frozenset[int]] = []
-    while True:
-        assignment = dpll_solve(CnfTheory(theory.atoms, clauses))
-        if assignment is None:
-            break
-        model = frozenset(a for a, value in assignment.items() if value)
-        models.append(model)
-        blocking = CnfClause(frozenset((a, not assignment[a]) for a in range(n)))
-        clauses.append(blocking)
-    models.sort(key=interpretation_key)
-    return models
+    """All models, from one continuing search, in ascending bitmask order."""
+    return sorted(_search(theory), key=interpretation_key)
 
 
 def export_dimacs(theory: CnfTheory) -> str:
@@ -233,5 +284,13 @@ def parse_dimacs(text: str) -> CnfTheory:
             [(abs(v) - 1, v > 0) for v in values[:-1]])
     if var_count is None:
         raise ValueError("missing DIMACS header")
+    if var_count < 0:
+        raise ValueError(f"negative DIMACS variable count: {var_count}")
+    for lits in clause_lists:
+        for atom, polarity in lits:
+            if atom >= var_count:
+                literal = atom + 1 if polarity else -(atom + 1)
+                raise ValueError(
+                    f"literal {literal} is beyond the header's {var_count} variables")
     table = AtomTable(names.get(i, f"v{i + 1}") for i in range(var_count))
     return CnfTheory.from_literals(table, clause_lists)

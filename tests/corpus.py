@@ -2,7 +2,9 @@
 
 The oracles here deliberately avoid the code paths they check: truth
 tables instead of DPLL, unpruned saturation instead of antichains, and
-a direct propositional reading of clause satisfaction.
+a direct propositional reading of clause satisfaction.  The recursive
+DPLL with blocking-clause enumeration is kept as a reference for the
+SAT layer's exact assignments and model lists.
 """
 
 from __future__ import annotations
@@ -11,6 +13,8 @@ import random
 from itertools import product
 
 from guardres import AtomTable, Clause, CnfTheory, Program, parse_program
+from guardres.core import interpretation_key
+from guardres.sat import CnfClause
 
 EXAMPLE_TEXT = "p :- t, not q.\np :- not r.\nq :- not s.\nt.\n"
 
@@ -72,7 +76,7 @@ def random_tight_program(rng: random.Random, max_atoms: int = 8,
 
 def random_cnf(rng: random.Random, max_vars: int = 12) -> CnfTheory:
     # Clause count scales with the variable count so model counts stay at
-    # desk scale (blocking-clause enumeration is quadratic in them).
+    # desk scale (the blocking-clause reference is quadratic in them).
     n = rng.randint(1, max_vars)
     table = AtomTable(f"x{i}" for i in range(n))
     clause_lists = []
@@ -144,3 +148,69 @@ def direct_clause_value(members, clause) -> bool:
     return (any(q not in members for q in clause.pos_body)
             or any(r in members for r in clause.neg_body)
             or clause.head in members)
+
+
+def _reference_unit_propagate(clauses, assign: dict):
+    """Extend `assign` to unit closure by full rescans; a falsified clause or None."""
+    changed = True
+    while changed:
+        changed = False
+        for clause in clauses:
+            unassigned = None
+            unassigned_count = 0
+            satisfied = False
+            for atom, polarity in clause.literals:
+                value = assign.get(atom)
+                if value is None:
+                    unassigned = (atom, polarity)
+                    unassigned_count += 1
+                elif value == polarity:
+                    satisfied = True
+                    break
+            if satisfied:
+                continue
+            if unassigned_count == 0:
+                return clause
+            if unassigned_count == 1:
+                atom, polarity = unassigned
+                assign[atom] = polarity
+                changed = True
+    return None
+
+
+def reference_dpll_solve(theory: CnfTheory, assumptions=None):
+    """Recursive DPLL copying the assignment per branch: lowest id, false first."""
+    n = len(theory.atoms)
+    clauses = theory.clauses
+
+    def search(assign: dict):
+        if _reference_unit_propagate(clauses, assign) is not None:
+            return None
+        var = next((v for v in range(n) if v not in assign), None)
+        if var is None:
+            return assign
+        for value in (False, True):
+            result = search({**assign, var: value})
+            if result is not None:
+                return result
+        return None
+
+    return search(dict(assumptions or {}))
+
+
+def reference_enumerate_models(theory: CnfTheory) -> list:
+    """Models by re-solving with one full-length blocking clause per model."""
+    n = len(theory.atoms)
+    if n == 0:
+        return [] if any(not c.literals for c in theory.clauses) else [frozenset()]
+    clauses = list(theory.clauses)
+    models = []
+    while True:
+        assignment = reference_dpll_solve(CnfTheory(theory.atoms, clauses))
+        if assignment is None:
+            break
+        model = frozenset(a for a, value in assignment.items() if value)
+        models.append(model)
+        clauses.append(CnfClause(frozenset((a, not assignment[a]) for a in range(n))))
+    models.sort(key=interpretation_key)
+    return models

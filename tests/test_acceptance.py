@@ -44,6 +44,8 @@ from corpus import (
     random_cnf,
     random_program,
     random_tight_program,
+    reference_dpll_solve,
+    reference_enumerate_models,
     truth_table_models,
 )
 
@@ -220,6 +222,15 @@ def test_criterion_10_sat_layer_matches_truth_tables():
                 assert all(clause_satisfied(c, model) for c in theory.clauses)
             else:
                 assert assignment is None
+
+
+def test_criterion_10_corpus_matches_reference_dpll():
+    """The continuing search gives the recursive, restarting DPLL's exact answers."""
+    rng = random.Random(CORPUS_SEED + 2)
+    for _ in range(CNF_CORPUS_SIZE):
+        theory = random_cnf(rng)
+        assert dpll_solve(theory) == reference_dpll_solve(theory)
+        assert enumerate_models(theory) == reference_enumerate_models(theory)
 
 
 def test_criterion_11_space_instrumentation(corpus):

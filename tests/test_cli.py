@@ -57,6 +57,15 @@ def test_solve_limit(tmp_path, capsys):
     assert capsys.readouterr().out.count("{") == 1
 
 
+@pytest.mark.parametrize("engine", ["candidate", "completion", "brute"])
+def test_solve_nonsensical_counts_exit_2(example_file, capsys, engine):
+    for flags in (["--limit", "-1"], ["--limit", "0"], ["--jobs", "0"], ["--jobs", "-2"]):
+        assert run(["solve", example_file, "--engine", engine] + flags) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+
+
 def test_solve_certs_block(example_file, capsys):
     assert run(["solve", example_file, "--certs"]) == 0
     out = capsys.readouterr().out
@@ -100,6 +109,17 @@ def test_unknown_subcommand_exits_2(capsys):
 
 def test_missing_file_exits_2(capsys):
     assert run(["solve", "/nonexistent/x.lp"]) == 2
+
+
+def test_undecodable_input_exits_2(tmp_path, monkeypatch, capsys):
+    raw = b"\xff\xfe a.\n"
+    path = tmp_path / "bad.lp"
+    path.write_bytes(raw)
+    assert run(["solve", str(path)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: cannot read {path}: ")
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8"))
+    assert run(["solve", "-"]) == 2
+    assert capsys.readouterr().err.startswith("error: cannot read -: ")
 
 
 def test_resource_error_exits_3(tmp_path, capsys):

@@ -280,6 +280,17 @@ def test_proof_sexp_roundtrip():
         assert verify_proof(rebuilt, program) == GuardedAtom(q, guard)
 
 
+def test_proof_sexp_truncated_input_is_value_error():
+    program = example_program()
+    text = proof_to_sexp(_two_leaf_proof(program), program.atoms)
+    for end in range(len(text) + 1):
+        try:
+            tree = proof_from_sexp(text[:end], program.atoms)
+        except ValueError:
+            continue
+        assert tree == _two_leaf_proof(program)
+
+
 def test_proof_sexp_rejects_unknown_atom():
     program = example_program()
     with pytest.raises(ValueError):

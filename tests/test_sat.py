@@ -1,5 +1,8 @@
 import random
 
+import pytest
+from hypothesis import example, given, settings, strategies as st
+
 from guardres import (
     AtomTable,
     CnfTheory,
@@ -10,7 +13,7 @@ from guardres import (
     program_to_cnf,
     subequation_to_cnf,
 )
-from guardres.sat import clause_satisfied, equation_to_cnf, make_clause, _unit_propagate
+from guardres.sat import _assign, _compile, clause_satisfied, equation_to_cnf, make_clause
 
 from corpus import example_program, random_cnf, truth_table_models
 
@@ -123,19 +126,28 @@ def test_enumerate_models_examples():
 
 
 def test_unit_propagation_closure():
-    table = AtomTable(["a", "b", "c"])
+    table = AtomTable(["a", "b", "c", "d", "e"])
     theory = CnfTheory.from_literals(
-        table, [[(0, True)], [(0, False), (1, True)], [(1, False), (2, True)]])
-    assign = {}
-    conflict = _unit_propagate(theory.clauses, assign)
-    assert conflict is None
-    assert assign == {0: True, 1: True, 2: True}
+        table, [[(0, True)], [(0, False), (1, True)], [(1, False), (2, True)],
+                [(2, False), (3, True), (4, True)]])
+    clauses, falsified_by = _compile(theory)
+    values = [None] * len(table)
+    trail = []
+    assert _assign(0, True, clauses, falsified_by, values, trail)
+    assert values == [True, True, True, None, None]
+    assert trail == [0, 1, 2]
     # After closure no clause is unit or falsified under the assignment.
     for clause in theory.clauses:
-        undecided = [lit for lit in clause.literals if lit[0] not in assign]
-        satisfied = any(assign.get(a) == pol for a, pol in clause.literals
-                        if a in assign)
+        undecided = [lit for lit in clause.literals if values[lit[0]] is None]
+        satisfied = any(values[a] == pol for a, pol in clause.literals)
         assert satisfied or len(undecided) > 1
+    # Deciding d false leaves e as the last open literal of its clause.
+    assert _assign(3, False, clauses, falsified_by, values, trail)
+    assert values == [True, True, True, False, True]
+    # b and -b both following from a is a conflict.
+    clauses, falsified_by = _compile(CnfTheory.from_literals(
+        AtomTable(["a", "b"]), [[(0, False), (1, True)], [(0, False), (1, False)]]))
+    assert not _assign(0, True, clauses, falsified_by, [None, None], [])
 
 
 def test_dpll_agrees_with_truth_tables():
@@ -152,6 +164,68 @@ def test_dpll_agrees_with_truth_tables():
             assert all(clause_satisfied(c, model) for c in theory.clauses)
         else:
             assert assignment is None
+
+
+def _lex_first(models, n):
+    """The model DPLL reaches first: lowest atom id decides, false first."""
+    return min(models, key=lambda m: [a in m for a in range(n)])
+
+
+@st.composite
+def _cnf_with_assumptions(draw):
+    n = draw(st.integers(0, 8))
+    literal = st.tuples(st.integers(0, n - 1), st.booleans()) if n else st.nothing()
+    clause = st.lists(literal, max_size=4) if n else st.just([])
+    clause_lists = draw(st.lists(clause, max_size=14))
+    assumptions = draw(st.dictionaries(st.integers(0, n - 1), st.booleans())
+                       if n else st.just({}))
+    theory = CnfTheory.from_literals(AtomTable(f"x{i}" for i in range(n)), clause_lists)
+    return theory, assumptions
+
+
+@settings(max_examples=300, deadline=None)
+@given(_cnf_with_assumptions())
+@example((CnfTheory(AtomTable([]), []), {}))
+@example((CnfTheory.from_literals(AtomTable([]), [[]]), {}))
+def test_search_matches_truth_tables(case):
+    theory, assumptions = case
+    n = len(theory.atoms)
+    expected = truth_table_models(theory)
+    assert enumerate_models(theory) == expected
+    for given_values in ({}, assumptions):
+        allowed = [m for m in expected
+                   if all((a in m) == v for a, v in given_values.items())]
+        assignment = dpll_solve(theory, given_values)
+        if allowed:
+            first = _lex_first(allowed, n)
+            assert assignment == {a: a in first for a in range(n)}
+        else:
+            assert assignment is None
+
+
+def test_search_is_not_recursive():
+    # x_i -> x_{i+1} and x_i -> -x_{i+1}: every x_i but the last is false,
+    # which the false-first search finds only after 3,000 decisions.
+    n = 3000
+    clause_lists = []
+    for i in range(n - 1):
+        clause_lists.append([(i, False), (i + 1, True)])
+        clause_lists.append([(i, False), (i + 1, False)])
+    theory = CnfTheory.from_literals(AtomTable(f"x{i}" for i in range(n)), clause_lists)
+    assert dpll_solve(theory) == {a: False for a in range(n)}
+    assert enumerate_models(theory) == [frozenset(), frozenset([n - 1])]
+
+
+def test_search_rejects_atoms_outside_theory():
+    table = AtomTable(["a"])
+    with pytest.raises(ValueError):
+        dpll_solve(CnfTheory(table, []), {1: True})
+    for atom in (1, -1):
+        theory = CnfTheory.from_literals(table, [[(atom, True)]])
+        with pytest.raises(ValueError):
+            enumerate_models(theory)
+        with pytest.raises(ValueError):
+            dpll_solve(theory)
 
 
 def test_export_dimacs_offset_rule():
@@ -187,3 +261,13 @@ def test_dimacs_roundtrip_preserves_models():
         back = parse_dimacs(export_dimacs(theory))
         assert back.atoms.names == theory.atoms.names
         assert enumerate_models(back) == enumerate_models(theory)
+
+
+@pytest.mark.parametrize("text", [
+    "p cnf 2 1\n1 5 0\n",
+    "p cnf 2 1\n-3 0\n",
+    "p cnf -1 0\n",
+])
+def test_parse_dimacs_rejects_out_of_range(text):
+    with pytest.raises(ValueError):
+        parse_dimacs(text)
