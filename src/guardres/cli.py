@@ -151,11 +151,11 @@ def _cmd_supports(args: argparse.Namespace) -> int:
         raise _CliError(f"unknown atom {args.atom!r}")
     atom = program.atoms.id_of(args.atom)
     table = saturate_supports(program)
+    proofs = table.certificates(atom) if args.proofs else {}
     for guard in table.supports(atom):
         print(format_interpretation(program.atoms, guard))
         if args.proofs:
-            proof = table.certificate(atom, guard)
-            print(format_proof(proof, program.atoms), end="")
+            print(format_proof(proofs[guard], program.atoms), end="")
     return 0
 
 

@@ -8,10 +8,15 @@ resolved atom's guard records every negative assumption used along the
 way.  A guard S with `p : S` derivable is a *support* of p, and an
 interpretation *admits* `p : S` when it avoids S entirely; collecting
 supports is what turns the reduct fixpoint into proof search.
+
+Nothing here recurses on the depth of a program or a proof: saturation
+runs a worklist, and lazy enumeration and every proof-tree walk keep an
+explicit stack, so chains thousands of levels deep stay in reach.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from itertools import product
 from typing import Iterator
@@ -80,11 +85,15 @@ class ProofTree:
         return self.clause_parent is None and self.atom_parent is None
 
     def nodes(self) -> Iterator["ProofTree"]:
-        yield self
-        if self.clause_parent is not None:
-            yield from self.clause_parent.nodes()
-        if self.atom_parent is not None:
-            yield from self.atom_parent.nodes()
+        """Pre-order: a node, then its clause parent's subtree, then its atom parent's."""
+        stack = [self]
+        while stack:
+            node = stack.pop()
+            yield node
+            if node.atom_parent is not None:
+                stack.append(node.atom_parent)
+            if node.clause_parent is not None:
+                stack.append(node.clause_parent)
 
     def leaves(self) -> Iterator["ProofTree"]:
         for node in self.nodes():
@@ -113,20 +122,16 @@ def verify_proof(tree: ProofTree, program: Program) -> GuardedAtom:
         else:
             atom_leaves.add(image.as_atom())
 
-    def check(node: ProofTree) -> None:
-        if node.is_leaf:
-            label = node.label
-            if isinstance(label, GuardedAtom):
-                if label not in atom_leaves:
-                    raise ProofError(
-                        f"leaf {label} is not the image of a purely negative clause")
-            elif label not in clause_leaves:
-                raise ProofError(f"leaf {label} is not the image of a program clause")
-            return
-        if node.clause_parent is None or node.atom_parent is None:
-            raise ProofError("inner node lacks a clause parent or an atom parent")
-        check(node.clause_parent)
-        check(node.atom_parent)
+    def check_leaf(node: ProofTree) -> None:
+        label = node.label
+        if isinstance(label, GuardedAtom):
+            if label not in atom_leaves:
+                raise ProofError(
+                    f"leaf {label} is not the image of a purely negative clause")
+        elif label not in clause_leaves:
+            raise ProofError(f"leaf {label} is not the image of a program clause")
+
+    def check_step(node: ProofTree) -> None:
         clause_label = node.clause_parent.label
         atom_label = node.atom_parent.label
         if not isinstance(clause_label, GuardedClause):
@@ -141,7 +146,21 @@ def verify_proof(tree: ProofTree, program: Program) -> GuardedAtom:
         if node.label != expected:
             raise ProofError(f"inner node labeled {node.label}, resolution gives {expected}")
 
-    check(tree)
+    # Post-order over an explicit stack: both parents' subtrees (clause
+    # parent first) are checked before the step that joins them.
+    stack: list[tuple[ProofTree, bool]] = [(tree, False)]
+    while stack:
+        node, parents_checked = stack.pop()
+        if parents_checked:
+            check_step(node)
+        elif node.is_leaf:
+            check_leaf(node)
+        elif node.clause_parent is None or node.atom_parent is None:
+            raise ProofError("inner node lacks a clause parent or an atom parent")
+        else:
+            stack.append((node, True))
+            stack.append((node.atom_parent, False))
+            stack.append((node.clause_parent, False))
     root = tree.label
     if not isinstance(root, GuardedAtom):
         raise ProofError("root is not fully resolved")
@@ -157,7 +176,10 @@ class SupportTable:
     """Per atom, the antichain of subset-minimal supports.
 
     Entries are stored in canonical order (lexicographic on sorted atom
-    ids); a verifying ProofTree for any entry is recoverable on demand.
+    ids).  The table keeps guards only; the verifying ProofTree of an
+    entry is the first proof of its guard in lazy-enumeration order,
+    recovered on demand by `certificate` (one entry) or `certificates`
+    (every entry of an atom, in one enumeration pass).
     """
 
     def __init__(self, program: Program, antichains: dict):
@@ -200,6 +222,24 @@ class SupportTable:
                 return tree
         raise RuntimeError("stored support missing from lazy enumeration")
 
+    def certificates(self, atom: int) -> dict[frozenset[int], ProofTree]:
+        """Every entry of `atom` with the proof `certificate` would give it.
+
+        A single lazy-enumeration pass, stopped once every stored guard
+        has been seen; the dict lists the guards in order of their first
+        appearance in that pass.
+        """
+        wanted = set(self.supports(atom))
+        proofs: dict[frozenset[int], ProofTree] = {}
+        if not wanted:
+            return proofs
+        for guard, tree in enumerate_supports(self._program, atom):
+            if guard in wanted and guard not in proofs:
+                proofs[guard] = tree
+                if len(proofs) == len(wanted):
+                    return proofs
+        raise RuntimeError("stored support missing from lazy enumeration")
+
     def by_name(self) -> dict:
         """Name-keyed copy, comparable across programs and atom tables."""
         name = self._program.atoms.name
@@ -212,20 +252,29 @@ class SupportTable:
 def saturate_supports(program: Program, *,
                       max_supports_per_atom: int = DEFAULT_SUPPORT_CAP,
                       max_derivations: int | None = None) -> SupportTable:
-    """Exact minimal-support antichains, by fixpoint saturation.
+    """Exact minimal-support antichains, by semi-naive saturation.
 
-    Purely negative clauses seed their heads; clauses with positive
-    bodies are then closed under every combination of already-derived
-    supports, inserting with antichain pruning, until nothing changes.
-    Pruning evicts dominated guards only, and replacing a sub-derivation
-    by one with a smaller guard only shrinks the result, so the fixpoint
-    is exactly the family of subset-minimal supports.
+    Purely negative clauses seed their heads.  Every guard inserted into
+    an antichain joins a worklist; when it is popped, each clause with
+    its atom in the positive body combines it, once, with the settled
+    guards of the other body atoms (those popped earlier and not evicted
+    since).  A combination of stored guards is thus tried exactly when
+    the last of them is popped, and a guard evicted before its turn is
+    skipped.  Insertion keeps each antichain pruned: pruning evicts
+    dominated guards only, and replacing a sub-derivation by one with a
+    smaller guard only shrinks the result, so the fixpoint is exactly the
+    family of subset-minimal supports.
 
+    One derivation is one seed clause or one combination of a popped
+    guard with settled guards, so the count grows with the supports
+    derived, not with the number of passes a naive fixpoint would make.
     Raises ResourceLimitError when an atom would store more than
     `max_supports_per_atom` guards (supports can be exponentially many)
-    or when `max_derivations` combinations have been tried.
+    or when more than `max_derivations` derivations are made.
     """
     antichains: dict[int, list[frozenset[int]]] = {}
+    settled: dict[int, list[frozenset[int]]] = {}
+    pending: deque[tuple[int, frozenset[int]]] = deque()
     derivations = 0
 
     def spend() -> None:
@@ -235,38 +284,67 @@ def saturate_supports(program: Program, *,
             raise ResourceLimitError(
                 f"support saturation exceeded {max_derivations} derivations")
 
-    def insert(atom: int, guard: frozenset[int]) -> bool:
+    def insert(atom: int, guard: frozenset[int]) -> None:
         chain = antichains.setdefault(atom, [])
         for existing in chain:
             if existing <= guard:
-                return False
+                return
         chain[:] = [s for s in chain if not guard <= s]
+        settled[atom] = [s for s in settled[atom] if not guard <= s]
         chain.append(guard)
         if len(chain) > max_supports_per_atom:
             raise ResourceLimitError(
                 f"atom {program.atoms.name(atom)!r} exceeds "
                 f"{max_supports_per_atom} stored supports")
-        return True
+        pending.append((atom, guard))
 
-    positive: list[Clause] = []
+    uses: dict[int, list[Clause]] = {}
     for clause in program.clauses:
+        settled.setdefault(clause.head, [])
         if clause.pos_body:
-            positive.append(clause)
+            for atom in clause.pos_body:
+                uses.setdefault(atom, []).append(clause)
         else:
             spend()
             insert(clause.head, clause.neg_body)
-    changed = True
-    while changed:
-        changed = False
-        for clause in positive:
-            pools = [tuple(antichains.get(b, ())) for b in sorted(clause.pos_body)]
+    while pending:
+        atom, guard = pending.popleft()
+        if guard not in antichains[atom]:
+            continue
+        for clause in uses.get(atom, ()):
+            pools = [settled.get(b, ()) for b in clause.pos_body if b != atom]
             if not all(pools):
                 continue
+            base = clause.neg_body | guard
             for combo in product(*pools):
                 spend()
-                if insert(clause.head, clause.neg_body.union(*combo)):
-                    changed = True
+                insert(clause.head, base.union(*combo))
+        settled[atom].append(guard)
     return SupportTable(program, antichains)
+
+
+# Asks the goal on top of the lazy search's stack for its next proof.
+_ADVANCE = object()
+
+
+class _Goal:
+    """One atom to derive inside the lazy search, suspended between proofs.
+
+    `clauses[next_clause:]` are still untried.  While a clause with a
+    positive body is being expanded, `body` is its sorted positive body,
+    `nodes[j]` its leaf resolved against the proofs of `body[:j]`, and
+    `children[j]` the goal producing proofs of `body[j]`.
+    """
+
+    __slots__ = ("atom", "clauses", "next_clause", "body", "nodes", "children")
+
+    def __init__(self, atom: int, clauses: tuple[Clause, ...]):
+        self.atom = atom
+        self.clauses = clauses
+        self.next_clause = 0
+        self.body: list[int] | None = None
+        self.nodes: list[ProofTree] = []
+        self.children: list[_Goal] = []
 
 
 def enumerate_supports(program: Program,
@@ -274,37 +352,88 @@ def enumerate_supports(program: Program,
     """Lazily yield `(guard, proof)` pairs for supports of `atom`.
 
     Depth-first AND-expansion: clauses are tried in program order and
-    body atoms resolved in atom-id order, and no atom is ever re-derived
-    inside its own derivation branch, so the stream terminates.  It still
-    yields every subset-minimal support, because a repetition along a
-    branch can only enlarge the guard.  Guards may repeat when distinct
-    proofs produce the same support.
+    body atoms resolved in atom-id order, the last body atom varying
+    fastest, and no atom is ever re-derived inside its own derivation
+    branch, so the stream terminates.  It still yields every
+    subset-minimal support, because a repetition along a branch can only
+    enlarge the guard.  Guards may repeat when distinct proofs produce
+    the same support.
+
+    The search keeps its goals on an explicit stack instead of recursing:
+    the stack is the branch from `atom` to the goal being advanced, and
+    its atoms are exactly the ones blocked for that goal.
     """
+    clauses_for = program.clauses_for
+    root = _Goal(atom, clauses_for(atom))
+    stack = [root]
+    branch = {atom}
 
-    def derive(target: int,
-               in_progress: frozenset[int]) -> Iterator[tuple[frozenset[int], ProofTree]]:
-        blocked = in_progress | {target}
-        for clause in program.clauses_for(target):
-            if clause.pos_body & blocked:
-                continue
-            if not clause.pos_body:
-                yield clause.neg_body, ProofTree(GuardedAtom(target, clause.neg_body))
-                continue
-            leaf = ProofTree(GuardedClause(target, clause.pos_body, clause.neg_body))
-            yield from expand(leaf, sorted(clause.pos_body), 0, blocked)
+    def push(goal: _Goal) -> None:
+        stack.append(goal)
+        branch.add(goal.atom)
 
-    def expand(subtree: ProofTree, body: list[int], index: int,
-               blocked: frozenset[int]) -> Iterator[tuple[frozenset[int], ProofTree]]:
-        if index == len(body):
-            yield subtree.label.guard, subtree
-            return
-        for _, sub_proof in derive(body[index], blocked):
-            resolvent = guarded_resolve(subtree.label, sub_proof.label)
+    def open_child(goal: _Goal) -> None:
+        """Start the goal for the next body atom of `goal`'s clause."""
+        body_atom = goal.body[len(goal.children)]
+        goal.children.append(_Goal(body_atom, clauses_for(body_atom)))
+        push(goal.children[-1])
+
+    # `answer` is what the goal on top receives: _ADVANCE asks it for its
+    # next proof; a ProofTree or None is its last child's proof or its
+    # last child's exhaustion.
+    answer: object = _ADVANCE
+    while True:
+        goal = stack[-1]
+        if answer is _ADVANCE and goal.body is not None:
+            push(goal.children[-1])
+            continue
+        if answer is _ADVANCE:
+            answer = None
+            while goal.next_clause < len(goal.clauses):
+                clause = goal.clauses[goal.next_clause]
+                goal.next_clause += 1
+                if not clause.pos_body.isdisjoint(branch):
+                    continue
+                if not clause.pos_body:
+                    answer = ProofTree(GuardedAtom(goal.atom, clause.neg_body))
+                    break
+                goal.body = sorted(clause.pos_body)
+                goal.nodes = [ProofTree(
+                    GuardedClause(goal.atom, clause.pos_body, clause.neg_body))]
+                open_child(goal)
+                answer = _ADVANCE
+                break
+            if answer is _ADVANCE:
+                continue
+        elif answer is None:
+            goal.children.pop()
+            if not goal.children:
+                goal.body = None
+            answer = _ADVANCE
+            continue
+        else:
+            position = len(goal.children) - 1
+            parent = goal.nodes[position]
+            resolvent = guarded_resolve(parent.label, answer.label)
             label = resolvent if resolvent.body else resolvent.as_atom()
-            node = ProofTree(label, clause_parent=subtree, atom_parent=sub_proof)
-            yield from expand(node, body, index + 1, blocked)
-
-    yield from derive(atom, frozenset())
+            del goal.nodes[position + 1:]
+            goal.nodes.append(
+                ProofTree(label, clause_parent=parent, atom_parent=answer))
+            if position + 1 < len(goal.body):
+                open_child(goal)
+                answer = _ADVANCE
+                continue
+            answer = goal.nodes[-1]
+        # `goal` has answered: a proof, or None once it is exhausted.
+        stack.pop()
+        branch.discard(goal.atom)
+        if stack:
+            continue
+        if answer is None:
+            return
+        yield answer.label.guard, answer
+        push(root)
+        answer = _ADVANCE
 
 
 def _atom_set_text(atoms: frozenset[int], table: AtomTable) -> str:
@@ -314,8 +443,9 @@ def _atom_set_text(atoms: frozenset[int], table: AtomTable) -> str:
 def format_proof(tree: ProofTree, table: AtomTable) -> str:
     """One node per line, root first, children indented by depth."""
     lines: list[str] = []
-
-    def emit(node: ProofTree, depth: int) -> None:
+    stack: list[tuple[ProofTree, int]] = [(tree, 0)]
+    while stack:
+        node, depth = stack.pop()
         label = node.label
         if isinstance(label, GuardedAtom):
             lines.append(
@@ -325,27 +455,34 @@ def format_proof(tree: ProofTree, table: AtomTable) -> str:
             lines.append(
                 f"{depth}| {table.name(label.head)} <- {body} : "
                 f"{_atom_set_text(label.guard, table)}")
-        if node.clause_parent is not None:
-            emit(node.clause_parent, depth + 1)
         if node.atom_parent is not None:
-            emit(node.atom_parent, depth + 1)
-
-    emit(tree, 0)
+            stack.append((node.atom_parent, depth + 1))
+        if node.clause_parent is not None:
+            stack.append((node.clause_parent, depth + 1))
     return "\n".join(lines) + "\n"
 
 
 def proof_to_sexp(tree: ProofTree, table: AtomTable) -> str:
     """S-expression form for machine round-trips; inner labels are implicit."""
-    label = tree.label
-    if tree.is_leaf:
-        if isinstance(label, GuardedAtom):
+    parts: list[str] = []
+    stack: list[ProofTree | str] = [tree]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, str):
+            parts.append(item)
+            continue
+        label = item.label
+        if not item.is_leaf:
+            stack.extend((")", item.atom_parent, " ", item.clause_parent))
+            parts.append("(step ")
+        elif isinstance(label, GuardedAtom):
             guard = " ".join(table.name(a) for a in sorted(label.guard))
-            return f"(atom {table.name(label.atom)} ({guard}))"
-        body = " ".join(table.name(a) for a in sorted(label.body))
-        guard = " ".join(table.name(a) for a in sorted(label.guard))
-        return f"(clause {table.name(label.head)} ({body}) ({guard}))"
-    return (f"(step {proof_to_sexp(tree.clause_parent, table)} "
-            f"{proof_to_sexp(tree.atom_parent, table)})")
+            parts.append(f"(atom {table.name(label.atom)} ({guard}))")
+        else:
+            body = " ".join(table.name(a) for a in sorted(label.body))
+            guard = " ".join(table.name(a) for a in sorted(label.guard))
+            parts.append(f"(clause {table.name(label.head)} ({body}) ({guard}))")
+    return "".join(parts)
 
 
 def proof_from_sexp(text: str, table: AtomTable) -> ProofTree:
@@ -377,35 +514,49 @@ def proof_from_sexp(text: str, table: AtomTable) -> ProofTree:
         take(")")
         return frozenset(ids)
 
-    def node() -> ProofTree:
+    def step(clause_parent: ProofTree, atom_parent: ProofTree) -> ProofTree:
+        clause_label = clause_parent.label
+        atom_label = atom_parent.label
+        if not isinstance(clause_label, GuardedClause) or not isinstance(
+                atom_label, GuardedAtom):
+            raise ValueError("malformed step: expected a clause and an atom parent")
+        resolvent = guarded_resolve(clause_label, atom_label)
+        label = resolvent if resolvent.body else resolvent.as_atom()
+        return ProofTree(label, clause_parent=clause_parent, atom_parent=atom_parent)
+
+    # Each open `(step` keeps the parents parsed so far; a finished node
+    # goes to the innermost open step, and a step with both parents
+    # closes and is finished in turn.
+    open_steps: list[list[ProofTree]] = []
+    while True:
         take("(")
         kind = take()
+        if kind == "step":
+            open_steps.append([])
+            continue
         if kind == "atom":
             head = atom_id(take())
             guard = atom_set()
             take(")")
-            return ProofTree(GuardedAtom(head, guard))
-        if kind == "clause":
+            node = ProofTree(GuardedAtom(head, guard))
+        elif kind == "clause":
             head = atom_id(take())
             body = atom_set()
             guard = atom_set()
             take(")")
-            return ProofTree(GuardedClause(head, body, guard))
-        if kind == "step":
-            clause_parent = node()
-            atom_parent = node()
+            node = ProofTree(GuardedClause(head, body, guard))
+        else:
+            raise ValueError(f"unknown proof node kind {kind!r}")
+        while open_steps:
+            parents = open_steps[-1]
+            parents.append(node)
+            if len(parents) < 2:
+                break
+            open_steps.pop()
             take(")")
-            clause_label = clause_parent.label
-            atom_label = atom_parent.label
-            if not isinstance(clause_label, GuardedClause) or not isinstance(
-                    atom_label, GuardedAtom):
-                raise ValueError("malformed step: expected a clause and an atom parent")
-            resolvent = guarded_resolve(clause_label, atom_label)
-            label = resolvent if resolvent.body else resolvent.as_atom()
-            return ProofTree(label, clause_parent=clause_parent, atom_parent=atom_parent)
-        raise ValueError(f"unknown proof node kind {kind!r}")
-
-    tree = node()
+            node = step(*parents)
+        else:
+            break
     if pos != len(tokens):
         raise ValueError("trailing tokens after proof s-expression")
-    return tree
+    return node

@@ -27,7 +27,7 @@ from .guarded import (
     DEFAULT_SUPPORT_CAP,
     ProofError,
     ProofTree,
-    enumerate_supports,
+    enumerate_supports,  # noqa: F401  perfbench/spans.py traces this name here
     format_proof,
     saturate_supports,
     verify_proof,
@@ -137,16 +137,9 @@ def candidate_theories(program: Program, *,
         max_derivations=max_derivations)
     choices: list[list[Subequation]] = []
     for atom in range(len(program.atoms)):
-        minimal = set(table.supports(atom))
         options = [Subequation(atom, None)]
-        found: set[frozenset[int]] = set()
-        if minimal:
-            for guard, proof in enumerate_supports(program, atom):
-                if guard in minimal and guard not in found:
-                    found.add(guard)
-                    options.append(support_subequation(program, atom, guard, proof))
-                    if len(found) == len(minimal):
-                        break
+        for guard, proof in table.certificates(atom).items():
+            options.append(support_subequation(program, atom, guard, proof))
         choices.append(options)
     for combo in product(*choices):
         yield CandidateTheory(base, combo)

@@ -4,16 +4,27 @@ The oracles here deliberately avoid the code paths they check: truth
 tables instead of DPLL, unpruned saturation instead of antichains, and
 a direct propositional reading of clause satisfaction.  The recursive
 DPLL with blocking-clause enumeration is kept as a reference for the
-SAT layer's exact assignments and model lists.
+SAT layer's exact assignments and model lists, and the naive saturation
+loop and recursive lazy enumeration as references for the guarded
+layer's exact support tables and `(guard, proof)` streams.
 """
 
 from __future__ import annotations
 
 import random
-from itertools import product
+from itertools import islice, product
 
 from guardres import AtomTable, Clause, CnfTheory, Program, parse_program
-from guardres.core import interpretation_key
+from guardres.core import ResourceLimitError, interpretation_key
+from guardres.guarded import (
+    GuardedAtom,
+    GuardedClause,
+    ProofTree,
+    SupportTable,
+    enumerate_supports,
+    guarded_resolve,
+    saturate_supports,
+)
 from guardres.sat import CnfClause
 
 EXAMPLE_TEXT = "p :- t, not q.\np :- not r.\nq :- not s.\nt.\n"
@@ -36,6 +47,19 @@ def names_of(program: Program, members) -> frozenset:
 
 def members_of(program: Program, *names: str) -> frozenset:
     return frozenset(program.atoms.id_of(n) for n in names)
+
+
+def reversed_chain_text(levels: int, guard_every: int | None = None) -> str:
+    """`a_i :- a_{i-1}` from the top level down over the fact `a0`.
+
+    Every `guard_every`-th level also carries `not z_i`.  Listed top-down,
+    the chain makes a naive saturation loop take one pass per level.
+    """
+    lines = []
+    for i in range(levels, 0, -1):
+        guard = f", not z{i}" if guard_every and i % guard_every == 0 else ""
+        lines.append(f"a{i} :- a{i - 1}{guard}.")
+    return "\n".join(lines + ["a0."]) + "\n"
 
 
 def random_program(rng: random.Random, max_atoms: int = 8,
@@ -214,3 +238,128 @@ def reference_enumerate_models(theory: CnfTheory) -> list:
         clauses.append(CnfClause(frozenset((a, not assignment[a]) for a in range(n))))
     models.sort(key=interpretation_key)
     return models
+
+
+def reference_saturate_supports(program: Program, *,
+                                max_derivations: int | None = None) -> SupportTable:
+    """Minimal supports by retrying every clause's full product until stable.
+
+    Counts one derivation per seed clause and per combination tried, so
+    a reversed chain of n levels costs about n^2 / 2 of them.
+    """
+    antichains: dict = {}
+    derivations = 0
+
+    def spend() -> None:
+        nonlocal derivations
+        derivations += 1
+        if max_derivations is not None and derivations > max_derivations:
+            raise ResourceLimitError(
+                f"support saturation exceeded {max_derivations} derivations")
+
+    def insert(atom: int, guard: frozenset) -> bool:
+        chain = antichains.setdefault(atom, [])
+        for existing in chain:
+            if existing <= guard:
+                return False
+        chain[:] = [s for s in chain if not guard <= s]
+        chain.append(guard)
+        return True
+
+    positive = []
+    for clause in program.clauses:
+        if clause.pos_body:
+            positive.append(clause)
+        else:
+            spend()
+            insert(clause.head, clause.neg_body)
+    changed = True
+    while changed:
+        changed = False
+        for clause in positive:
+            pools = [tuple(antichains.get(b, ())) for b in sorted(clause.pos_body)]
+            if not all(pools):
+                continue
+            for combo in product(*pools):
+                spend()
+                if insert(clause.head, clause.neg_body.union(*combo)):
+                    changed = True
+    return SupportTable(program, antichains)
+
+
+def reference_enumerate_supports(program: Program, atom: int):
+    """The lazy `(guard, proof)` stream as nested recursive generators."""
+
+    def derive(target: int, in_progress: frozenset):
+        blocked = in_progress | {target}
+        for clause in program.clauses_for(target):
+            if clause.pos_body & blocked:
+                continue
+            if not clause.pos_body:
+                yield clause.neg_body, ProofTree(GuardedAtom(target, clause.neg_body))
+                continue
+            leaf = ProofTree(GuardedClause(target, clause.pos_body, clause.neg_body))
+            yield from expand(leaf, sorted(clause.pos_body), 0, blocked)
+
+    def expand(subtree: ProofTree, body: list, index: int, blocked: frozenset):
+        if index == len(body):
+            yield subtree.label.guard, subtree
+            return
+        for _, sub_proof in derive(body[index], blocked):
+            resolvent = guarded_resolve(subtree.label, sub_proof.label)
+            label = resolvent if resolvent.body else resolvent.as_atom()
+            node = ProofTree(label, clause_parent=subtree, atom_parent=sub_proof)
+            yield from expand(node, body, index + 1, blocked)
+
+    yield from derive(atom, frozenset())
+
+
+def reference_format_proof(tree: ProofTree, table: AtomTable) -> str:
+    """`format_proof` as a recursive pre-order walk."""
+
+    def names(atoms) -> str:
+        return ", ".join(table.name(a) for a in sorted(atoms))
+
+    def emit(node: ProofTree, depth: int):
+        label = node.label
+        if isinstance(label, GuardedAtom):
+            yield f"{depth}| {table.name(label.atom)} : {{{names(label.guard)}}}\n"
+        else:
+            yield (f"{depth}| {table.name(label.head)} <- {names(label.body)} : "
+                   f"{{{names(label.guard)}}}\n")
+        for parent in (node.clause_parent, node.atom_parent):
+            if parent is not None:
+                yield from emit(parent, depth + 1)
+
+    return "".join(emit(tree, 0))
+
+
+def reference_certificate(program: Program, atom: int, guard: frozenset) -> ProofTree:
+    """The first proof of `guard` in the reference lazy stream."""
+    for found, tree in reference_enumerate_supports(program, atom):
+        if found == guard:
+            return tree
+    raise KeyError(guard)
+
+
+def check_guarded_layer(program: Program, stream_cap: int | None = None) -> None:
+    """Assert the guarded layer reproduces the references exactly.
+
+    Identical support tables, identical `(guard, proof)` streams (the
+    first `stream_cap` pairs when given), and per atom `certificates`
+    holding `certificate`'s proof for every stored guard, in order of
+    first appearance in the stream.
+    """
+    table = saturate_supports(program)
+    assert list(table.items()) == list(reference_saturate_supports(program).items())
+    for atom in range(len(program.atoms)):
+        stream = list(islice(enumerate_supports(program, atom), stream_cap))
+        assert stream == list(islice(reference_enumerate_supports(program, atom),
+                                     stream_cap))
+        stored = set(table.supports(atom))
+        proofs = table.certificates(atom)
+        assert set(proofs) == stored
+        first_seen = list(dict.fromkeys(g for g, _ in stream if g in stored))
+        assert list(proofs)[:len(first_seen)] == first_seen
+        for guard in stored:
+            assert proofs[guard] == table.certificate(atom, guard)

@@ -39,6 +39,7 @@ from guardres.solver import STATE_BOUND_FACTOR
 
 from corpus import (
     EXAMPLE_TEXT,
+    check_guarded_layer,
     example_program,
     members_of,
     random_cnf,
@@ -207,6 +208,13 @@ def test_criterion_09_proof_certificates_reverify(corpus):
                             GuardedAtom(se.atom, se.guard)
                         checked += 1
         assert checked > 0
+
+
+def test_criterion_09_guarded_layer_matches_reference(corpus):
+    """Semi-naive saturation and the explicit-stack search give the naive
+    loop's tables and the recursive generators' exact streams."""
+    for program in corpus:
+        check_guarded_layer(program)
 
 
 def test_criterion_10_sat_layer_matches_truth_tables():

@@ -4,9 +4,16 @@ import random
 import pytest
 
 from guardres.cli import run
-from guardres import parse_program, render_program
+from guardres import format_interpretation, parse_program, render_program
 
-from corpus import EXAMPLE_TEXT, random_program
+from corpus import (
+    EXAMPLE_TEXT,
+    random_program,
+    reference_certificate,
+    reference_format_proof,
+    reference_saturate_supports,
+    reversed_chain_text,
+)
 
 
 @pytest.fixture
@@ -148,6 +155,74 @@ def test_supports_with_proofs(example_file, capsys):
         "{r}\n"
         "0| p : {r}\n"
     )
+
+
+def _reference_supports_text(text, atom_name):
+    """`supports --proofs` output rebuilt from the reference saturation and search."""
+    program = parse_program(text)
+    atom = program.atoms.id_of(atom_name)
+    out = []
+    for guard in reference_saturate_supports(program).supports(atom):
+        out.append(format_interpretation(program.atoms, guard) + "\n")
+        proof = reference_certificate(program, atom, guard)
+        out.append(reference_format_proof(proof, program.atoms))
+    return "".join(out)
+
+
+def _ladder_text(rungs, rung_first):
+    lines = ["a0 :- not x0."]
+    for i in range(1, rungs + 1):
+        step = [f"a{i} :- a{i - 1}, not x{i}.", f"a{i} :- c{i}."]
+        if rung_first:
+            step.reverse()
+        lines += step + [f"c{i} :- not y{i}."]
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("text, top", [
+    (_ladder_text(12, rung_first=False), "a12"),
+    (_ladder_text(12, rung_first=True), "a12"),
+    (reversed_chain_text(60, guard_every=7), "a60"),
+], ids=["ladder-chain-first", "ladder-rung-first", "reversed-chain"])
+def test_supports_proofs_golden(tmp_path, capsys, text, top):
+    path = tmp_path / "golden.lp"
+    path.write_text(text)
+    assert run(["supports", str(path), "--atom", top, "--proofs"]) == 0
+    out = capsys.readouterr().out
+    assert out == _reference_supports_text(text, top)
+    assert out.count("\n0| ") == (13 if top == "a12" else 1)
+
+
+DEEP_LEVELS = 3000
+
+
+def test_supports_proofs_deep_chain(tmp_path, capsys):
+    path = tmp_path / "chain.lp"
+    path.write_text("a0.\n" + "".join(
+        f"a{i} :- a{i - 1}.\n" for i in range(1, DEEP_LEVELS + 1)))
+    assert run(["supports", str(path), "--atom", f"a{DEEP_LEVELS}", "--proofs"]) == 0
+    expected = ["{}"]
+    for i in range(DEEP_LEVELS, 0, -1):
+        depth = DEEP_LEVELS - i
+        expected += [f"{depth}| a{i} : {{}}", f"{depth + 1}| a{i} <- a{i - 1} : {{}}"]
+    expected.append(f"{DEEP_LEVELS}| a0 : {{}}")
+    assert capsys.readouterr().out == "".join(line + "\n" for line in expected)
+
+
+def test_solve_certs_deep_search(tmp_path, capsys):
+    # The search for `top` descends the whole chain before it fails there
+    # and falls back to `top :- not x`.  The chain has no base, so its
+    # atoms have no supports and the candidate product stays at two.
+    path = tmp_path / "chain.lp"
+    path.write_text(f"top :- a{DEEP_LEVELS}.\n" + "".join(
+        f"a{i} :- a{i - 1}.\n" for i in range(DEEP_LEVELS, 0, -1)) + "top :- not x.\n")
+    assert run(["solve", str(path), "--certs"]) == 0
+    expected = ["{top}", "model {top}", "  top <-> -x", "    0| top : {x}"]
+    expected += [f"  -a{i}." for i in range(DEEP_LEVELS, -1, -1)]
+    expected.append("  -x.")
+    assert capsys.readouterr().out == "".join(line + "\n" for line in expected)
+    assert run(["supports", str(path), "--atom", "top", "--proofs"]) == 0
+    assert capsys.readouterr().out == "{x}\n0| top : {x}\n"
 
 
 def test_supports_unknown_atom(example_file, capsys):

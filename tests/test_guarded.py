@@ -2,10 +2,15 @@ import random
 from itertools import islice
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from guardres import (
+    AtomTable,
+    Clause,
     GuardedAtom,
     GuardedClause,
+    Program,
     ProofError,
     ProofTree,
     ResourceLimitError,
@@ -23,12 +28,15 @@ from guardres import (
 )
 
 from corpus import (
+    check_guarded_layer,
     example_program,
     members_of,
     minimal_family,
     names_of,
     prog,
     random_program,
+    reference_saturate_supports,
+    reversed_chain_text,
 )
 
 
@@ -162,6 +170,30 @@ def test_saturate_derivation_cap():
         saturate_supports(program, max_derivations=2)
 
 
+def test_saturate_reversed_chain_is_linear():
+    # One seed plus one combination per level: the top guard travels up
+    # the chain once.  Retrying every clause's full product until nothing
+    # changes makes one pass per level, about levels^2 / 2 combinations.
+    levels = 400
+    program = prog(reversed_chain_text(levels))
+    table = saturate_supports(program, max_derivations=2 * levels)
+    top = program.atoms.id_of(f"a{levels}")
+    assert table.supports(top) == (frozenset(),)
+    with pytest.raises(ResourceLimitError):
+        reference_saturate_supports(program, max_derivations=2 * levels)
+
+
+def test_saturate_skips_evicted_guards():
+    # q's first guard {r, s} is evicted by {r} before it is combined, so
+    # p only ever stores the combination with the smaller guard.
+    program = prog("q :- not r, not s.\nq :- not r.\np :- q, not t.")
+    table = saturate_supports(program, max_derivations=3)
+    assert _support_names(program, table) == {
+        "p": {frozenset({"r", "t"})},
+        "q": {frozenset({"r"})},
+    }
+
+
 def test_enumerate_worked_example_order():
     program = example_program()
     p = program.atoms.id_of("p")
@@ -254,6 +286,52 @@ def test_certificate_lookup_matches_table():
         assert verify_proof(tree, program) == GuardedAtom(p, guard)
     with pytest.raises(KeyError):
         table.certificate(p, frozenset([p]))
+
+
+def test_certificates_match_certificate_lookups():
+    program = example_program()
+    table = saturate_supports(program)
+    p = program.atoms.id_of("p")
+    proofs = table.certificates(p)
+    # Lazy-enumeration order, not the table's canonical order.
+    assert [names_of(program, g) for g in proofs] == [{"q"}, {"r"}]
+    for guard in table.supports(p):
+        assert proofs[guard] == table.certificate(p, guard)
+    assert table.certificates(program.atoms.id_of("r")) == {}
+
+
+@st.composite
+def small_programs(draw):
+    n = draw(st.integers(1, 6))
+    atom_sets = st.frozensets(st.integers(0, n - 1), max_size=3)
+    clauses = draw(st.lists(
+        st.builds(Clause, st.integers(0, n - 1), atom_sets, atom_sets),
+        min_size=1, max_size=10))
+    return Program(AtomTable("abcdef"[:n]), clauses)
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_programs())
+def test_guarded_layer_matches_reference_property(program):
+    check_guarded_layer(program, stream_cap=2000)
+
+
+def test_deep_proof_walks_without_recursion():
+    levels = 3000
+    program = prog(reversed_chain_text(levels))
+    top = program.atoms.id_of(f"a{levels}")
+    (guard, tree), = enumerate_supports(program, top)
+    assert guard == frozenset()
+    assert tree.size() == 2 * levels + 1
+    assert sum(1 for _ in tree.leaves()) == levels + 1
+    assert verify_proof(tree, program) == GuardedAtom(top, guard)
+    text = format_proof(tree, program.atoms)
+    assert text.startswith(f"0| a{levels} : {{}}\n1| a{levels} <- a{levels - 1} : {{}}\n")
+    assert text.endswith(f"{levels}| a1 <- a0 : {{}}\n{levels}| a0 : {{}}\n")
+    sexp = proof_to_sexp(tree, program.atoms)
+    rebuilt = proof_from_sexp(sexp, program.atoms)
+    assert proof_to_sexp(rebuilt, program.atoms) == sexp
+    assert verify_proof(rebuilt, program) == GuardedAtom(top, guard)
 
 
 def test_format_proof_golden():
