@@ -49,8 +49,6 @@ def _build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--certs", action="store_true",
                        help="print the certificate block under each model "
                             "(candidate engine only)")
-    solve.add_argument("--jobs", type=int, default=1, metavar="N",
-                       help="shard the candidate search over N threads")
 
     supports = sub.add_parser("supports", help="print the minimal supports of an atom")
     supports.add_argument("file", metavar="FILE")
@@ -120,8 +118,6 @@ def _model_sort_key(program: Program):
 def _cmd_solve(args: argparse.Namespace) -> int:
     if args.limit is not None and args.limit < 1:
         raise _CliError("--limit N must be at least 1")
-    if args.jobs < 1:
-        raise _CliError("--jobs N must be at least 1")
     program = _read_program(args.file)
     if args.certs and args.engine != "candidate":
         raise _CliError("--certs requires --engine candidate")
@@ -135,7 +131,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         if args.limit is not None:
             models = models[:args.limit]
     else:
-        pairs = solve_stable(program, args.limit, jobs=args.jobs)
+        pairs = solve_stable(program, args.limit)
         models = [model for model, _ in pairs]
         certificates = {model: candidate for model, candidate in pairs}
     for members in sorted(set(models), key=_model_sort_key(program)):

@@ -65,7 +65,7 @@ def admits(members: frozenset[int], ga: GuardedAtom) -> bool:
     return not (members & ga.guard)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class ProofTree:
     """Derivation tree: leaves from the program, inner nodes from resolution.
 
@@ -73,7 +73,8 @@ class ProofTree:
     with their resolvent (converted to a GuardedAtom once the body is
     gone).  Leaves are guarded images of program clauses, with purely
     negative clauses appearing atom-shaped; the root of a complete proof
-    is always a GuardedAtom.
+    is always a GuardedAtom.  Two trees are equal when they have the same
+    shape and labels; equality and hashing walk the nodes iteratively.
     """
 
     label: GuardedClause | GuardedAtom
@@ -102,6 +103,22 @@ class ProofTree:
 
     def size(self) -> int:
         return sum(1 for _ in self.nodes())
+
+    def _shape(self) -> tuple:
+        return self.label, self.clause_parent is None, self.atom_parent is None
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, ProofTree):
+            return NotImplemented
+        # Equal shapes node by node keep both pre-order walks in step.
+        return self is other or all(
+            a._shape() == b._shape() for a, b in zip(self.nodes(), other.nodes()))
+
+    def __hash__(self) -> int:
+        return hash(tuple(node._shape() for node in self.nodes()))
+
+    def __repr__(self) -> str:
+        return f"ProofTree({self.label!r}, size={self.size()})"
 
 
 def verify_proof(tree: ProofTree, program: Program) -> GuardedAtom:

@@ -5,24 +5,21 @@ support with its verifying proof (`p <-> -S`); the program clauses plus
 one such subequation per atom form a candidate theory.  Every
 propositional model of a candidate is a stable model, and every stable
 model satisfies some candidate, so iterating candidates and enumerating
-their models is a sound and complete solver.  Time is exponential in the
-worst case; per-candidate state stays linear in the program plus the
-certificate being carried (see SolveStats).
+their models is a sound and complete solver.  The search is one
+sequential walk of the candidates in product order; it skips a candidate
+whose chosen guard meets an atom another choice forces true, because
+such a candidate only repeats models of an earlier one.  Time is
+exponential in the worst case; per-candidate state stays linear in the
+program plus the certificate being carried (see SolveStats).
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import product
 from typing import Iterator
 
-from .core import (
-    AtomTable,
-    Program,
-    format_interpretation,
-    interpretation_key,
-)
+from .core import AtomTable, Program, format_interpretation
 from .guarded import (
     DEFAULT_SUPPORT_CAP,
     ProofError,
@@ -102,7 +99,8 @@ class SolveStats:
     one unit per atom for the DPLL assignment.  The solver keeps this
     below STATE_BOUND_FACTOR * (program_size + max_certificate_size);
     the shared program CNF and the emitted-model set are deliberately
-    outside the counter.
+    outside the counter.  `candidates_checked` counts the candidates
+    left after pruning, that is, those whose models were enumerated.
     """
 
     program_size: int = 0
@@ -110,13 +108,6 @@ class SolveStats:
     models_emitted: int = 0
     peak_candidate_state: int = 0
     max_certificate_size: int = 0
-
-    def merge(self, other: "SolveStats") -> None:
-        self.candidates_checked += other.candidates_checked
-        self.peak_candidate_state = max(self.peak_candidate_state,
-                                        other.peak_candidate_state)
-        self.max_certificate_size = max(self.max_certificate_size,
-                                        other.max_certificate_size)
 
 
 def candidate_theories(program: Program, *,
@@ -157,7 +148,13 @@ def check_candidate(program: Program, candidate: CandidateTheory) -> list[frozen
 
 
 def _prunable(candidate: CandidateTheory) -> bool:
-    """Chosen guard mentions an atom another choice forces true."""
+    """Chosen guard mentions an atom another choice forces true.
+
+    Such a choice `q <-> -S` makes `q` false in every model.  Choosing
+    `-q` instead gives an earlier candidate in product order with a
+    superset of the models, so a pruned candidate never holds the first
+    occurrence of a model.
+    """
     forced_true = {
         se.atom for se in candidate.subequations
         if se.guard is not None and not se.guard
@@ -178,22 +175,7 @@ def _account(stats: SolveStats | None, program: Program,
     stats.max_certificate_size = max(stats.max_certificate_size, certificate)
 
 
-def _scan_shard(program: Program, shard: int, jobs: int, prune: bool,
-                stats: SolveStats | None, caps: dict) -> list:
-    hits = []
-    for index, candidate in enumerate(candidate_theories(program, **caps)):
-        if index % jobs != shard:
-            continue
-        if prune and _prunable(candidate):
-            continue
-        _account(stats, program, candidate)
-        for model in check_candidate(program, candidate):
-            hits.append((index, model, candidate))
-    return hits
-
-
 def solve_stable(program: Program, limit: int | None = None, *,
-                 prune: bool = False, jobs: int = 1,
                  stats: SolveStats | None = None,
                  max_supports_per_atom: int = DEFAULT_SUPPORT_CAP,
                  max_derivations: int | None = None) -> list:
@@ -201,51 +183,31 @@ def solve_stable(program: Program, limit: int | None = None, *,
 
     Returns `(model, candidate)` pairs; the candidate carries the chosen
     subequation per atom and the verifying proof tree for every positive
-    choice.  `limit` stops after that many distinct models.  `prune`
-    skips candidates that are trivially inconsistent (output unchanged).
-    `jobs` shards the candidate stream across threads and re-merges into
-    the sequential order before deduplication.
+    choice.  Each model is paired with the first candidate that has it.
+    Candidates are walked once, in product order; prunable ones are
+    skipped because they only repeat models already emitted.  `limit`
+    stops after that many distinct models.
     """
-    caps = dict(max_supports_per_atom=max_supports_per_atom,
-                max_derivations=max_derivations)
     if stats is not None:
         stats.program_size = program.size()
     if limit is not None and limit <= 0:
         return []
-
-    if jobs > 1:
-        shard_stats = [SolveStats() if stats is not None else None for _ in range(jobs)]
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            futures = [
-                pool.submit(_scan_shard, program, shard, jobs, prune,
-                            shard_stats[shard], caps)
-                for shard in range(jobs)
-            ]
-            hits = [hit for future in futures for hit in future.result()]
-        if stats is not None:
-            for worker in shard_stats:
-                stats.merge(worker)
-        hits.sort(key=lambda hit: (hit[0], interpretation_key(hit[1])))
-        stream: Iterator = iter(hits)
-    else:
-        def sequential() -> Iterator:
-            for index, candidate in enumerate(candidate_theories(program, **caps)):
-                if prune and _prunable(candidate):
-                    continue
-                _account(stats, program, candidate)
-                for model in check_candidate(program, candidate):
-                    yield index, model, candidate
-
-        stream = sequential()
-
     results = []
     emitted: set[frozenset[int]] = set()
-    for _, model, candidate in stream:
-        if model in emitted:
+    candidates = candidate_theories(
+        program,
+        max_supports_per_atom=max_supports_per_atom,
+        max_derivations=max_derivations)
+    for candidate in candidates:
+        if _prunable(candidate):
             continue
-        emitted.add(model)
-        results.append((model, candidate))
+        _account(stats, program, candidate)
+        for model in check_candidate(program, candidate):
+            if model not in emitted:
+                emitted.add(model)
+                results.append((model, candidate))
         if limit is not None and len(results) >= limit:
+            del results[limit:]
             break
     if stats is not None:
         stats.models_emitted = len(results)

@@ -4,9 +4,11 @@ The oracles here deliberately avoid the code paths they check: truth
 tables instead of DPLL, unpruned saturation instead of antichains, and
 a direct propositional reading of clause satisfaction.  The recursive
 DPLL with blocking-clause enumeration is kept as a reference for the
-SAT layer's exact assignments and model lists, and the naive saturation
+SAT layer's exact assignments and model lists, the naive saturation
 loop and recursive lazy enumeration as references for the guarded
-layer's exact support tables and `(guard, proof)` streams.
+layer's exact support tables and `(guard, proof)` streams, and the
+unpruned candidate walk as the reference for the solver's model order
+and certificates.
 """
 
 from __future__ import annotations
@@ -14,7 +16,17 @@ from __future__ import annotations
 import random
 from itertools import islice, product
 
-from guardres import AtomTable, Clause, CnfTheory, Program, parse_program
+from hypothesis import strategies as st
+
+from guardres import (
+    AtomTable,
+    Clause,
+    CnfTheory,
+    Program,
+    candidate_theories,
+    check_candidate,
+    parse_program,
+)
 from guardres.core import ResourceLimitError, interpretation_key
 from guardres.guarded import (
     GuardedAtom,
@@ -77,6 +89,17 @@ def random_program(rng: random.Random, max_atoms: int = 8,
             frozenset(rng.sample(range(n), k=pos_size)),
             frozenset(rng.sample(range(n), k=neg_size))))
     return Program(table, clauses)
+
+
+@st.composite
+def small_programs(draw):
+    """`hypothesis` strategy: programs of 1 to 6 atoms and 1 to 10 clauses."""
+    n = draw(st.integers(1, 6))
+    atom_sets = st.frozensets(st.integers(0, n - 1), max_size=3)
+    clauses = draw(st.lists(
+        st.builds(Clause, st.integers(0, n - 1), atom_sets, atom_sets),
+        min_size=1, max_size=10))
+    return Program(AtomTable("abcdef"[:n]), clauses)
 
 
 def random_tight_program(rng: random.Random, max_atoms: int = 8,
@@ -363,3 +386,20 @@ def check_guarded_layer(program: Program, stream_cap: int | None = None) -> None
         assert list(proofs)[:len(first_seen)] == first_seen
         for guard in stored:
             assert proofs[guard] == table.certificate(atom, guard)
+
+
+def reference_solve_stable(program: Program, limit: int | None = None) -> list:
+    """Every candidate in product order, unpruned; each model with its first candidate."""
+    if limit is not None and limit <= 0:
+        return []
+    results = []
+    emitted = set()
+    for candidate in candidate_theories(program):
+        for model in check_candidate(program, candidate):
+            if model in emitted:
+                continue
+            emitted.add(model)
+            results.append((model, candidate))
+            if limit is not None and len(results) >= limit:
+                return results
+    return results

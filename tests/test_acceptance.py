@@ -23,6 +23,7 @@ from guardres import (
     enumerate_models,
     enumerate_supports,
     equivalent,
+    format_certificate,
     gl_operator,
     is_stable,
     is_supported,
@@ -47,6 +48,7 @@ from corpus import (
     random_tight_program,
     reference_dpll_solve,
     reference_enumerate_models,
+    reference_solve_stable,
     truth_table_models,
 )
 
@@ -147,6 +149,16 @@ def test_criterion_04_candidate_search_sound_and_complete(corpus):
                     assert is_stable(program, members)
                 found.update(models)
             assert found == set(brute_force_stable(program))
+
+
+def test_criterion_04_certificates_match_unpruned_reference(corpus):
+    """Skipping prunable candidates keeps every certificate block and its order."""
+    for program in corpus:
+        for limit in (None, 1, 2):
+            expected = [format_certificate(program, model, candidate)
+                        for model, candidate in reference_solve_stable(program, limit)]
+            assert [format_certificate(program, model, candidate)
+                    for model, candidate in solve_stable(program, limit)] == expected
 
 
 def test_criterion_05_stability_iff_levels(corpus):

@@ -3,14 +3,10 @@ from itertools import islice
 
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from guardres import (
-    AtomTable,
-    Clause,
     GuardedAtom,
     GuardedClause,
-    Program,
     ProofError,
     ProofTree,
     ResourceLimitError,
@@ -37,6 +33,7 @@ from corpus import (
     random_program,
     reference_saturate_supports,
     reversed_chain_text,
+    small_programs,
 )
 
 
@@ -300,16 +297,6 @@ def test_certificates_match_certificate_lookups():
     assert table.certificates(program.atoms.id_of("r")) == {}
 
 
-@st.composite
-def small_programs(draw):
-    n = draw(st.integers(1, 6))
-    atom_sets = st.frozensets(st.integers(0, n - 1), max_size=3)
-    clauses = draw(st.lists(
-        st.builds(Clause, st.integers(0, n - 1), atom_sets, atom_sets),
-        min_size=1, max_size=10))
-    return Program(AtomTable("abcdef"[:n]), clauses)
-
-
 @settings(max_examples=200, deadline=None)
 @given(small_programs())
 def test_guarded_layer_matches_reference_property(program):
@@ -332,6 +319,23 @@ def test_deep_proof_walks_without_recursion():
     rebuilt = proof_from_sexp(sexp, program.atoms)
     assert proof_to_sexp(rebuilt, program.atoms) == sexp
     assert verify_proof(rebuilt, program) == GuardedAtom(top, guard)
+
+
+def test_deep_proof_equality_hash_and_repr():
+    levels = 3000
+    program = prog(reversed_chain_text(levels))
+    top = program.atoms.id_of(f"a{levels}")
+    (_, first), = enumerate_supports(program, top)
+    (_, second), = enumerate_supports(program, top)
+    assert first is not second
+    assert first == second
+    assert hash(first) == hash(second)
+    assert repr(first) == repr(second) == (
+        f"ProofTree(GuardedAtom(atom={top}, guard=frozenset()), size={2 * levels + 1})")
+    assert first != first.atom_parent
+    cut = ProofTree(first.label, clause_parent=first.clause_parent,
+                    atom_parent=ProofTree(first.atom_parent.label))
+    assert first != cut and cut != first
 
 
 def test_format_proof_golden():

@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings
 
 from guardres import (
     AtomTable,
@@ -10,15 +11,24 @@ from guardres import (
     ProofTree,
     SolveStats,
     brute_force_stable,
+    build_completion,
     candidate_theories,
     check_candidate,
     format_certificate,
+    models_of_completion,
     solve_stable,
     verify_proof,
 )
 from guardres.solver import STATE_BOUND_FACTOR, support_subequation
 
-from corpus import example_program, members_of, names_of, prog, random_program
+from corpus import (
+    example_program,
+    members_of,
+    names_of,
+    prog,
+    random_program,
+    small_programs,
+)
 
 
 def _choice_names(program, candidate):
@@ -152,22 +162,21 @@ def test_solve_deterministic_order():
         assert first == second
 
 
-def test_prune_flag_does_not_change_output():
-    rng = random.Random(77)
-    for _ in range(25):
-        program = random_program(rng, max_atoms=6, max_clauses=9)
-        plain = [m for m, _ in solve_stable(program)]
-        pruned = [m for m, _ in solve_stable(program, prune=True)]
-        assert plain == pruned
+def test_candidates_that_only_repeat_models_are_skipped():
+    # `b <-> -a` beside the fact `a.` is prunable: 4 candidates, 3 checked.
+    program = prog("a.\nb :- not a.")
+    assert len(list(candidate_theories(program))) == 4
+    stats = SolveStats()
+    assert [m for m, _ in solve_stable(program, stats=stats)] == [members_of(program, "a")]
+    assert stats.candidates_checked == 3
 
 
-def test_jobs_shard_and_merge_to_sequential_order():
-    rng = random.Random(247)
-    for _ in range(12):
-        program = random_program(rng, max_atoms=6, max_clauses=9)
-        sequential = [m for m, _ in solve_stable(program)]
-        sharded = [m for m, _ in solve_stable(program, jobs=3)]
-        assert sharded == sequential
+@settings(max_examples=150, deadline=None)
+@given(small_programs())
+def test_engines_agree_property(program):
+    found = {m for m, _ in solve_stable(program)}
+    assert found == set(models_of_completion(build_completion(program)))
+    assert found == set(brute_force_stable(program))
 
 
 def test_space_instrumentation_within_documented_bound():
