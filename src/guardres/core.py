@@ -82,7 +82,7 @@ class AtomTable:
 Interpretation = frozenset
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Clause:
     """`head :- posBody, not negBody`; the two bodies may overlap."""
 

@@ -30,13 +30,13 @@ class ProofError(ValueError):
     """A proof tree failed verification."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GuardedAtom:
     atom: int
     guard: frozenset[int]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GuardedClause:
     head: int
     body: frozenset[int]
@@ -60,12 +60,19 @@ def guarded_resolve(gc: GuardedClause, ga: GuardedAtom) -> GuardedClause:
     return GuardedClause(gc.head, gc.body - {ga.atom}, gc.guard | ga.guard)
 
 
+def _resolvent_label(gc: GuardedClause, ga: GuardedAtom) -> GuardedClause | GuardedAtom:
+    """The label of a resolution step: the resolvent, atom-shaped once its body is empty."""
+    if len(gc.body) == 1 and ga.atom in gc.body:
+        return GuardedAtom(gc.head, gc.guard | ga.guard)
+    return guarded_resolve(gc, ga)
+
+
 def admits(members: frozenset[int], ga: GuardedAtom) -> bool:
     """True when `members` avoids the guard entirely."""
     return not (members & ga.guard)
 
 
-@dataclass(frozen=True, eq=False, repr=False)
+@dataclass(frozen=True, eq=False, repr=False, slots=True)
 class ProofTree:
     """Derivation tree: leaves from the program, inner nodes from resolution.
 
@@ -156,10 +163,9 @@ def verify_proof(tree: ProofTree, program: Program) -> GuardedAtom:
         if not isinstance(atom_label, GuardedAtom):
             raise ProofError("atom parent still has body atoms")
         try:
-            resolvent = guarded_resolve(clause_label, atom_label)
+            expected = _resolvent_label(clause_label, atom_label)
         except ValueError as exc:
             raise ProofError(str(exc)) from exc
-        expected = resolvent if resolvent.body else resolvent.as_atom()
         if node.label != expected:
             raise ProofError(f"inner node labeled {node.label}, resolution gives {expected}")
 
@@ -202,7 +208,7 @@ class SupportTable:
     def __init__(self, program: Program, antichains: dict):
         self._program = program
         self._supports: dict[int, tuple[frozenset[int], ...]] = {
-            atom: tuple(sorted(chain, key=lambda s: tuple(sorted(s))))
+            atom: tuple(sorted(chain, key=sorted))
             for atom, chain in antichains.items()
             if chain
         }
@@ -303,11 +309,11 @@ def saturate_supports(program: Program, *,
 
     def insert(atom: int, guard: frozenset[int]) -> None:
         chain = antichains.setdefault(atom, [])
-        for existing in chain:
-            if existing <= guard:
-                return
-        chain[:] = [s for s in chain if not guard <= s]
-        settled[atom] = [s for s in settled[atom] if not guard <= s]
+        if any(map(guard.issuperset, chain)):
+            return
+        if any(map(guard.issubset, chain)):
+            chain[:] = [s for s in chain if not guard <= s]
+            settled[atom] = [s for s in settled[atom] if not guard <= s]
         chain.append(guard)
         if len(chain) > max_supports_per_atom:
             raise ResourceLimitError(
@@ -329,10 +335,15 @@ def saturate_supports(program: Program, *,
         if guard not in antichains[atom]:
             continue
         for clause in uses.get(atom, ()):
+            base = clause.neg_body | guard
+            if len(clause.pos_body) == 1:
+                # Nothing to combine with: the popped guard is the one combination.
+                spend()
+                insert(clause.head, base)
+                continue
             pools = [settled.get(b, ()) for b in clause.pos_body if b != atom]
             if not all(pools):
                 continue
-            base = clause.neg_body | guard
             for combo in product(*pools):
                 spend()
                 insert(clause.head, base.union(*combo))
@@ -431,11 +442,9 @@ def enumerate_supports(program: Program,
         else:
             position = len(goal.children) - 1
             parent = goal.nodes[position]
-            resolvent = guarded_resolve(parent.label, answer.label)
-            label = resolvent if resolvent.body else resolvent.as_atom()
+            label = _resolvent_label(parent.label, answer.label)
             del goal.nodes[position + 1:]
-            goal.nodes.append(
-                ProofTree(label, clause_parent=parent, atom_parent=answer))
+            goal.nodes.append(ProofTree(label, parent, answer))
             if position + 1 < len(goal.body):
                 open_child(goal)
                 answer = _ADVANCE
@@ -453,25 +462,20 @@ def enumerate_supports(program: Program,
         answer = _ADVANCE
 
 
-def _atom_set_text(atoms: frozenset[int], table: AtomTable) -> str:
-    return "{" + ", ".join(table.name(a) for a in sorted(atoms)) + "}"
-
-
 def format_proof(tree: ProofTree, table: AtomTable) -> str:
     """One node per line, root first, children indented by depth."""
+    names = table.names
     lines: list[str] = []
     stack: list[tuple[ProofTree, int]] = [(tree, 0)]
     while stack:
         node, depth = stack.pop()
         label = node.label
+        guard = ", ".join([names[a] for a in sorted(label.guard)])
         if isinstance(label, GuardedAtom):
-            lines.append(
-                f"{depth}| {table.name(label.atom)} : {_atom_set_text(label.guard, table)}")
+            lines.append(f"{depth}| {names[label.atom]} : {{{guard}}}")
         else:
-            body = ", ".join(table.name(a) for a in sorted(label.body))
-            lines.append(
-                f"{depth}| {table.name(label.head)} <- {body} : "
-                f"{_atom_set_text(label.guard, table)}")
+            body = ", ".join([names[a] for a in sorted(label.body)])
+            lines.append(f"{depth}| {names[label.head]} <- {body} : {{{guard}}}")
         if node.atom_parent is not None:
             stack.append((node.atom_parent, depth + 1))
         if node.clause_parent is not None:
@@ -537,9 +541,8 @@ def proof_from_sexp(text: str, table: AtomTable) -> ProofTree:
         if not isinstance(clause_label, GuardedClause) or not isinstance(
                 atom_label, GuardedAtom):
             raise ValueError("malformed step: expected a clause and an atom parent")
-        resolvent = guarded_resolve(clause_label, atom_label)
-        label = resolvent if resolvent.body else resolvent.as_atom()
-        return ProofTree(label, clause_parent=clause_parent, atom_parent=atom_parent)
+        return ProofTree(_resolvent_label(clause_label, atom_label),
+                         clause_parent, atom_parent)
 
     # Each open `(step` keeps the parents parsed so far; a finished node
     # goes to the innermost open step, and a step with both parents

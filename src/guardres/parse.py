@@ -1,20 +1,33 @@
-"""Reader and writer for the `.lp` program text format.
+r"""Reader and writer for the `.lp` program text format.
 
-Grammar (UTF-8; `%` starts a comment running to end of line; whitespace
-is free-form):
+Grammar (UTF-8; `%` starts a comment running to end of line; blanks,
+meaning space, tab, `\r` and `\n`, are free-form):
 
     program  = clause*
     clause   = atom [ ":-" literal ("," literal)* ] "."
     literal  = atom | "not" atom
     atom     = [A-Za-z_][A-Za-z0-9_]*
 
-`not` is a reserved word and cannot name an atom.  Rendering is
-canonical: positive body literals first, each group in atom-id order, so
-re-parsing a rendered program reproduces it exactly.
+`not` is a reserved word and cannot name an atom.  Rendering puts
+positive body literals first, each group in atom-id order.  Re-parsing a
+rendered program gives the same clauses, with atoms numbered by first
+appearance; that can reorder a body group once, and from then on the
+text is a fixpoint.
+
+The scanner splits the text at `\n` only and runs one regular expression
+along each line.  A match is a run of blanks (space, tab, `\r`) and then
+a word, `:-`, `,`, `.`, a `%` comment running to the end of the line, or
+any other character, which is a ParseError.  Lines and columns are
+1-based, and a column counts characters: a tab, a `\r` (so `\r\n` line
+ends work) and a non-ASCII character are one column each.  The
+end-of-input position is just past the last line's last character, or
+at its `%` when the last line ends in a comment, since a comment never
+advances the column.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 from .core import AtomTable, Clause, Program
@@ -38,67 +51,43 @@ class ParseError(ValueError):
         self.span = span
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # "ident" | "not" | ":-" | "," | "." | "eof"
-    text: str
-    span: SourceSpan
+# The error class excludes blanks, so a run of trailing blanks cannot
+# give its last one back to it; such a run goes unmatched.
+_SCANNER = re.compile(r"[ \t\r]*(?:([A-Za-z_][A-Za-z0-9_]*)|(:-|[,.])|%.*|([^ \t\r]))")
 
-
-def _is_ident_start(ch: str) -> bool:
-    return "a" <= ch <= "z" or "A" <= ch <= "Z" or ch == "_"
-
-
-def _is_ident_char(ch: str) -> bool:
-    return _is_ident_start(ch) or "0" <= ch <= "9"
+# A token: (kind, text, line, column) with kind "ident", "not", ":-",
+# ",", "." or "eof".
+_Token = tuple[str, str, int, int]
 
 
 def _tokenize(text: str) -> list[_Token]:
     tokens: list[_Token] = []
-    line, col = 1, 1
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            i += 1
-            line += 1
-            col = 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if ch == "%":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        span = SourceSpan(line, col)
-        if _is_ident_start(ch):
-            j = i
-            while j < n and _is_ident_char(text[j]):
-                j += 1
-            word = text[i:j]
-            tokens.append(_Token("not" if word == "not" else "ident", word, span))
-            col += j - i
-            i = j
-            continue
-        if text.startswith(":-", i):
-            tokens.append(_Token(":-", ":-", span))
-            i += 2
-            col += 2
-            continue
-        if ch in ",.":
-            tokens.append(_Token(ch, ch, span))
-            i += 1
-            col += 1
-            continue
-        raise ParseError(f"unexpected character {ch!r}", span)
-    tokens.append(_Token("eof", "", SourceSpan(line, col)))
+    append = tokens.append
+    lines = text.split("\n")
+    for number, line in enumerate(lines, 1):
+        for match in _SCANNER.finditer(line):
+            group = match.lastindex
+            if group == 1:
+                word = match[1]
+                append(("not" if word == "not" else "ident", word, number, match.start(1) + 1))
+            elif group == 2:
+                punct = match[2]
+                append((punct, punct, number, match.start(2) + 1))
+            elif group == 3:
+                raise ParseError(f"unexpected character {match[3]!r}",
+                                 SourceSpan(number, match.start(3) + 1))
+    # A comment leaves the column where it starts.
+    comment = line.find("%")
+    append(("eof", "", len(lines), (len(line) if comment < 0 else comment) + 1))
     return tokens
 
 
+def _fail(message: str, tok: _Token) -> ParseError:
+    return ParseError(message, SourceSpan(tok[2], tok[3]))
+
+
 def _describe(tok: _Token) -> str:
-    return "end of input" if tok.kind == "eof" else f"'{tok.text}'"
+    return "end of input" if tok[0] == "eof" else f"'{tok[1]}'"
 
 
 def parse_program(text: str) -> Program:
@@ -108,45 +97,49 @@ def parse_program(text: str) -> Program:
     Raises ParseError (with a SourceSpan) on malformed input, a missing
     head, or `not` in head position.
     """
-    tokens = _tokenize(text)
-    pos = 0
-
-    def take() -> _Token:
-        nonlocal pos
-        tok = tokens[pos]
-        pos += 1
-        return tok
-
+    take = iter(_tokenize(text)).__next__
     table = AtomTable()
+    ids: dict[str, int] = {}
+
+    def atom_id(name: str) -> int:
+        idx = ids.get(name)
+        if idx is None:
+            idx = ids[name] = table.intern(name).id
+        return idx
+
+    # Every branch that takes the eof token stops, so `take` never runs dry.
     clauses: list[Clause] = []
-    while tokens[pos].kind != "eof":
+    while True:
         tok = take()
-        if tok.kind == "not":
-            raise ParseError("'not' cannot appear in the head", tok.span)
-        if tok.kind != "ident":
-            raise ParseError(f"expected clause head, found {_describe(tok)}", tok.span)
-        head = table.intern(tok.text).id
+        if tok[0] == "eof":
+            break
+        if tok[0] == "not":
+            raise _fail("'not' cannot appear in the head", tok)
+        if tok[0] != "ident":
+            raise _fail(f"expected clause head, found {_describe(tok)}", tok)
+        head = atom_id(tok[1])
         pos_body: set[int] = set()
         neg_body: set[int] = set()
         tok = take()
-        if tok.kind == ":-":
+        if tok[0] == ":-":
             while True:
                 lit = take()
-                if lit.kind == "not":
-                    if tokens[pos].kind != "ident":
-                        raise ParseError("expected atom name after 'not'", lit.span)
-                    neg_body.add(table.intern(take().text).id)
-                elif lit.kind == "ident":
-                    pos_body.add(table.intern(lit.text).id)
+                if lit[0] == "not":
+                    name = take()
+                    if name[0] != "ident":
+                        raise _fail("expected atom name after 'not'", lit)
+                    neg_body.add(atom_id(name[1]))
+                elif lit[0] == "ident":
+                    pos_body.add(atom_id(lit[1]))
                 else:
-                    raise ParseError(f"expected literal, found {_describe(lit)}", lit.span)
+                    raise _fail(f"expected literal, found {_describe(lit)}", lit)
                 sep = take()
-                if sep.kind == ".":
+                if sep[0] == ".":
                     break
-                if sep.kind != ",":
-                    raise ParseError(f"expected ',' or '.', found {_describe(sep)}", sep.span)
-        elif tok.kind != ".":
-            raise ParseError(f"expected ':-' or '.', found {_describe(tok)}", tok.span)
+                if sep[0] != ",":
+                    raise _fail(f"expected ',' or '.', found {_describe(sep)}", sep)
+        elif tok[0] != ".":
+            raise _fail(f"expected ':-' or '.', found {_describe(tok)}", tok)
         clauses.append(Clause(head, frozenset(pos_body), frozenset(neg_body)))
     return Program(table, clauses)
 

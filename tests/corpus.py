@@ -2,7 +2,9 @@
 
 The oracles here deliberately avoid the code paths they check: truth
 tables instead of DPLL, unpruned saturation instead of antichains, and
-a direct propositional reading of clause satisfaction.  The recursive
+a direct propositional reading of clause satisfaction.  The seed's
+character-by-character scanner is kept as the reference for the `.lp`
+tokens and parse errors.  The recursive
 DPLL with blocking-clause enumeration is kept as a reference for the
 SAT layer's exact assignments and model lists, the naive saturation
 loop and recursive lazy enumeration as references for the guarded
@@ -37,6 +39,7 @@ from guardres.guarded import (
     guarded_resolve,
     saturate_supports,
 )
+from guardres.parse import ParseError, SourceSpan
 from guardres.sat import CnfClause
 
 EXAMPLE_TEXT = "p :- t, not q.\np :- not r.\nq :- not s.\nt.\n"
@@ -72,6 +75,64 @@ def reversed_chain_text(levels: int, guard_every: int | None = None) -> str:
         guard = f", not z{i}" if guard_every and i % guard_every == 0 else ""
         lines.append(f"a{i} :- a{i - 1}{guard}.")
     return "\n".join(lines + ["a0."]) + "\n"
+
+
+def reference_tokenize(text: str) -> list:
+    """The `.lp` scanner, one character at a time: `(kind, text, line, column)` tokens."""
+
+    def is_ident_start(ch: str) -> bool:
+        return "a" <= ch <= "z" or "A" <= ch <= "Z" or ch == "_"
+
+    tokens = []
+    line, col = 1, 1
+    i, n = 0, len(text)
+    while i < n:
+        ch = text[i]
+        if ch == "\n":
+            i += 1
+            line += 1
+            col = 1
+            continue
+        if ch in " \t\r":
+            i += 1
+            col += 1
+            continue
+        if ch == "%":
+            while i < n and text[i] != "\n":
+                i += 1
+            continue
+        if is_ident_start(ch):
+            j = i
+            while j < n and (is_ident_start(text[j]) or "0" <= text[j] <= "9"):
+                j += 1
+            word = text[i:j]
+            tokens.append(("not" if word == "not" else "ident", word, line, col))
+            col += j - i
+            i = j
+            continue
+        if text.startswith(":-", i):
+            tokens.append((":-", ":-", line, col))
+            i += 2
+            col += 2
+            continue
+        if ch in ",.":
+            tokens.append((ch, ch, line, col))
+            i += 1
+            col += 1
+            continue
+        raise ParseError(f"unexpected character {ch!r}", SourceSpan(line, col))
+    tokens.append(("eof", "", line, col))
+    return tokens
+
+
+# Pieces of `.lp`-like text: every character class the scanner tells
+# apart, the keyword, and one character it must reject.
+LP_PIECES = ("a", "b", "z", "A", "_", "0", "7", " ", "\t", "\r", "\n", "%",
+             ":-", ":", "-", ",", ".", "not", "é")
+
+
+def random_lp_text(rng: random.Random, max_pieces: int = 40) -> str:
+    return "".join(rng.choice(LP_PIECES) for _ in range(rng.randint(0, max_pieces)))
 
 
 def random_program(rng: random.Random, max_atoms: int = 8,

@@ -303,6 +303,15 @@ def test_guarded_layer_matches_reference_property(program):
     check_guarded_layer(program, stream_cap=2000)
 
 
+@settings(max_examples=200, deadline=None)
+@given(small_programs())
+def test_proof_sexp_roundtrip_property(program):
+    for atom in range(len(program.atoms)):
+        for _, tree in islice(enumerate_supports(program, atom), 50):
+            text = proof_to_sexp(tree, program.atoms)
+            assert proof_from_sexp(text, program.atoms) == tree
+
+
 def test_deep_proof_walks_without_recursion():
     levels = 3000
     program = prog(reversed_chain_text(levels))

@@ -1,10 +1,20 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from guardres import ParseError, parse_program, render_program
+from guardres.parse import _tokenize
 
-from corpus import EXAMPLE_TEXT, example_program, random_program
+from corpus import (
+    EXAMPLE_TEXT,
+    LP_PIECES,
+    example_program,
+    random_lp_text,
+    random_program,
+    reference_tokenize,
+    small_programs,
+)
 
 
 def _signature(program):
@@ -113,3 +123,73 @@ def test_normalization_idempotent_on_random_corpus():
         assert _signature(reparsed) == _signature(program)
         assert render_program(parse_program(render_program(reparsed))) == \
             render_program(reparsed)
+
+
+def _scan(tokenize, text):
+    """Tokens, or the error as (message, line, column)."""
+    try:
+        return tokenize(text)
+    except ParseError as exc:
+        return exc.message, exc.span.line, exc.span.column
+
+
+@pytest.mark.parametrize("text, expected", [
+    # A comment never advances the column, so end of input sits at its `%`.
+    ("a. % note", [("ident", "a", 1, 1), (".", ".", 1, 2), ("eof", "", 1, 4)]),
+    ("a.\r\nb.\r\n", [("ident", "a", 1, 1), (".", ".", 1, 2),
+                         ("ident", "b", 2, 1), (".", ".", 2, 2), ("eof", "", 3, 1)]),
+    ("\tp?", ("unexpected character '?'", 1, 3)),
+    ("a :- \u00e9.", ("unexpected character '\u00e9'", 1, 6)),
+    ("a :- not.", [("ident", "a", 1, 1), (":-", ":-", 1, 3), ("not", "not", 1, 6),
+                   (".", ".", 1, 9), ("eof", "", 1, 10)]),
+    ("", [("eof", "", 1, 1)]),
+])
+def test_scanner_edge_cases(text, expected):
+    assert _scan(_tokenize, text) == expected
+    assert _scan(reference_tokenize, text) == expected
+
+
+@pytest.mark.parametrize("text, message, line, column", [
+    ("p :- q % c", "expected ',' or '.', found end of input", 1, 8),
+    ("a.\r\nb :- not .\r\n", "expected atom name after 'not'", 2, 6),
+    ("\tp :- q, \u00e9.", "unexpected character '\u00e9'", 1, 10),
+    ("a :- not.", "expected atom name after 'not'", 1, 6),
+])
+def test_parse_error_positions(text, message, line, column):
+    with pytest.raises(ParseError) as info:
+        parse_program(text)
+    assert (info.value.message, info.value.span.line, info.value.span.column) == \
+        (message, line, column)
+
+
+def test_parse_empty_file():
+    program = parse_program("")
+    assert program.clauses == ()
+    assert len(program.atoms) == 0
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(st.sampled_from(LP_PIECES), max_size=40).map("".join))
+def test_scanner_matches_reference_property(text):
+    assert _scan(_tokenize, text) == _scan(reference_tokenize, text)
+
+
+def test_scanner_matches_reference_on_corpus():
+    rng = random.Random(4321)
+    texts = [random_lp_text(rng) for _ in range(2000)]
+    texts += [render_program(random_program(rng)) for _ in range(200)]
+    texts.append(EXAMPLE_TEXT)
+    for text in texts:
+        assert _scan(_tokenize, text) == _scan(reference_tokenize, text)
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_programs())
+def test_render_parse_roundtrip_property(program):
+    again = parse_program(render_program(program))
+    assert _signature(again) == _signature(program)
+    # Re-parsing numbers atoms by first appearance, which can reorder a
+    # body group once ("b :- not a, not b." over table b, a); from the
+    # second pass on the text is a fixpoint.
+    text = render_program(again)
+    assert render_program(parse_program(text)) == text

@@ -172,14 +172,20 @@ def _lex_first(models, n):
 
 
 @st.composite
-def _cnf_with_assumptions(draw):
+def _cnf_theories(draw):
     n = draw(st.integers(0, 8))
     literal = st.tuples(st.integers(0, n - 1), st.booleans()) if n else st.nothing()
     clause = st.lists(literal, max_size=4) if n else st.just([])
     clause_lists = draw(st.lists(clause, max_size=14))
+    return CnfTheory.from_literals(AtomTable(f"x{i}" for i in range(n)), clause_lists)
+
+
+@st.composite
+def _cnf_with_assumptions(draw):
+    theory = draw(_cnf_theories())
+    n = len(theory.atoms)
     assumptions = draw(st.dictionaries(st.integers(0, n - 1), st.booleans())
                        if n else st.just({}))
-    theory = CnfTheory.from_literals(AtomTable(f"x{i}" for i in range(n)), clause_lists)
     return theory, assumptions
 
 
@@ -261,6 +267,14 @@ def test_dimacs_roundtrip_preserves_models():
         back = parse_dimacs(export_dimacs(theory))
         assert back.atoms.names == theory.atoms.names
         assert enumerate_models(back) == enumerate_models(theory)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_cnf_theories())
+def test_dimacs_roundtrip_property(theory):
+    back = parse_dimacs(export_dimacs(theory))
+    assert back.atoms.names == theory.atoms.names
+    assert back.clauses == theory.clauses
 
 
 @pytest.mark.parametrize("text", [
