@@ -34,7 +34,7 @@ theory = program_to_cnf(program)
 
 def clause_text(clause):
     bits = []
-    for atom, polarity in sorted(clause.literals):
+    for atom, polarity in sorted(clause):
         bits.append(("" if polarity else "-") + table.name(atom))
     return " | ".join(bits)
 

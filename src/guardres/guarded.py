@@ -198,47 +198,51 @@ def verify_proof(tree: ProofTree, program: Program) -> GuardedAtom:
 class SupportTable:
     """Per atom, the antichain of subset-minimal supports.
 
-    Entries are stored in canonical order (lexicographic on sorted atom
-    ids).  The table keeps guards only; the verifying ProofTree of an
-    entry is the first proof of its guard in lazy-enumeration order,
-    recovered on demand by `certificate` (one entry) or `certificates`
-    (every entry of an atom, in one enumeration pass).
+    `supports` gives an atom's entries in canonical order (lexicographic
+    on sorted atom ids), sorted on the first request for that atom, so a
+    query about one atom sorts one antichain.  The table keeps guards
+    only; the verifying ProofTree of an entry is the first proof of its
+    guard in lazy-enumeration order, recovered on demand by `certificate`
+    (one entry) or `certificates` (every entry of an atom, in one
+    enumeration pass).
     """
 
     def __init__(self, program: Program, antichains: dict):
         self._program = program
-        self._supports: dict[int, tuple[frozenset[int], ...]] = {
-            atom: tuple(sorted(chain, key=sorted))
-            for atom, chain in antichains.items()
-            if chain
-        }
+        self._chains: dict[int, list[frozenset[int]]] = {
+            atom: chain for atom, chain in antichains.items() if chain}
+        self._ordered: dict[int, tuple[frozenset[int], ...]] = {}
 
     @property
     def program(self) -> Program:
         return self._program
 
     def supports(self, atom: int) -> tuple[frozenset[int], ...]:
-        return self._supports.get(atom, ())
+        ordered = self._ordered.get(atom)
+        if ordered is None:
+            ordered = tuple(sorted(self._chains.get(atom, ()), key=sorted))
+            self._ordered[atom] = ordered
+        return ordered
 
     def atoms(self) -> tuple[int, ...]:
         """Atoms with at least one support."""
-        return tuple(sorted(self._supports))
+        return tuple(sorted(self._chains))
 
     def items(self) -> Iterator[tuple[int, tuple[frozenset[int], ...]]]:
         for atom in self.atoms():
-            yield atom, self._supports[atom]
+            yield atom, self.supports(atom)
 
     def has_admitted_support(self, atom: int, members: frozenset[int]) -> bool:
-        return any(not (s & members) for s in self.supports(atom))
+        return any(not (s & members) for s in self._chains.get(atom, ()))
 
     def admitted_atoms(self, members: frozenset[int]) -> frozenset[int]:
         """Atoms with a support the interpretation admits."""
         return frozenset(
-            a for a in self._supports if self.has_admitted_support(a, members))
+            a for a in self._chains if self.has_admitted_support(a, members))
 
     def certificate(self, atom: int, guard: frozenset[int]) -> ProofTree:
         """A verifying proof for a table entry, recovered by lazy enumeration."""
-        if guard not in self.supports(atom):
+        if guard not in self._chains.get(atom, ()):
             raise KeyError(f"{guard!r} is not a stored support of atom id {atom}")
         for found, tree in enumerate_supports(self._program, atom):
             if found == guard:
@@ -252,7 +256,7 @@ class SupportTable:
         has been seen; the dict lists the guards in order of their first
         appearance in that pass.
         """
-        wanted = set(self.supports(atom))
+        wanted = set(self._chains.get(atom, ()))
         proofs: dict[frozenset[int], ProofTree] = {}
         if not wanted:
             return proofs
@@ -268,7 +272,7 @@ class SupportTable:
         name = self._program.atoms.name
         return {
             name(atom): frozenset(frozenset(name(a) for a in s) for s in chain)
-            for atom, chain in self._supports.items()
+            for atom, chain in self._chains.items()
         }
 
 

@@ -1,17 +1,16 @@
 """Propositional layer: CNF theories, a plain DPLL solver, DIMACS export.
 
-Literals are `(atom_id, polarity)` pairs.  The solver is deliberately
-minimal — unit propagation over per-literal occurrence lists plus
-chronological backtracking on an explicit trail, with a fixed branching
-order (lowest unassigned atom id, false first) — so model orders are
-reproducible and golden tests stay byte-stable.  Enumeration is the same
-search continued past each model, with no blocking clauses and no
-restarts.
+Literals are `(atom_id, polarity)` pairs, and a CNF clause is the
+frozenset of its literals.  The solver is deliberately minimal — unit
+propagation over per-literal occurrence lists plus chronological
+backtracking on an explicit trail, with a fixed branching order (lowest
+unassigned atom id, false first) — so model orders are reproducible and
+golden tests stay byte-stable.  Enumeration is the same search continued
+past each model, with no blocking clauses and no restarts.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product
 from typing import Iterable, Iterator, Mapping
 
@@ -21,51 +20,38 @@ from .core import AtomTable, Program, ResourceLimitError, interpretation_key
 Literal = tuple
 
 
-@dataclass(frozen=True)
-class CnfClause:
-    """Disjunction of literals; tautologies never reach this type."""
-
-    literals: frozenset
-
-
-def make_clause(literals: Iterable[Literal]) -> CnfClause | None:
+def make_clause(literals: Iterable[Literal]) -> frozenset[Literal] | None:
     """Normalize a literal collection; None when the clause is a tautology."""
     lits = frozenset(literals)
     for atom, polarity in lits:
         if (atom, not polarity) in lits:
             return None
-    return CnfClause(lits)
+    return lits
 
 
 class CnfTheory:
     """Duplicate-free clause list over a shared atom table.
 
-    Tautological input clauses are dropped silently; clause order is
-    otherwise preserved, first occurrence winning.
+    Clause order is preserved, first occurrence winning.
     """
 
     __slots__ = ("atoms", "clauses")
 
-    def __init__(self, atoms: AtomTable, clauses: Iterable[CnfClause | None]):
+    def __init__(self, atoms: AtomTable, clauses: Iterable[frozenset[Literal]]):
         atoms.freeze()
-        seen: set[CnfClause] = set()
-        kept: list[CnfClause] = []
-        for clause in clauses:
-            if clause is None or clause in seen:
-                continue
-            seen.add(clause)
-            kept.append(clause)
         self.atoms = atoms
-        self.clauses: tuple[CnfClause, ...] = tuple(kept)
+        self.clauses: tuple[frozenset[Literal], ...] = tuple(dict.fromkeys(clauses))
 
     @classmethod
     def from_literals(cls, atoms: AtomTable,
                       clause_lists: Iterable[Iterable[Literal]]) -> "CnfTheory":
-        return cls(atoms, (make_clause(lits) for lits in clause_lists))
+        """One clause per literal list; tautologies are dropped silently."""
+        clauses = (make_clause(lits) for lits in clause_lists)
+        return cls(atoms, (c for c in clauses if c is not None))
 
 
-def clause_satisfied(clause: CnfClause, members: frozenset[int]) -> bool:
-    return any((atom in members) == polarity for atom, polarity in clause.literals)
+def clause_satisfied(clause: frozenset[Literal], members: frozenset[int]) -> bool:
+    return any((atom in members) == polarity for atom, polarity in clause)
 
 
 def theory_satisfied(theory: CnfTheory, members: frozenset[int]) -> bool:
@@ -83,33 +69,32 @@ def program_to_cnf(program: Program) -> CnfTheory:
     return CnfTheory.from_literals(program.atoms, clause_lists)
 
 
-def subequation_to_cnf(atom: int, guard: frozenset[int] | None) -> list[CnfClause]:
+def subequation_to_cnf(atom: int, guard: frozenset[int] | None) -> list[frozenset[Literal]]:
     """Clauses for `-p` (guard None), `p` (empty guard), or `p <-> -S`."""
     if guard is None:
-        return [CnfClause(frozenset([(atom, False)]))]
+        return [frozenset([(atom, False)])]
     if not guard:
-        return [CnfClause(frozenset([(atom, True)]))]
-    clauses = [CnfClause(frozenset([(atom, False), (r, False)])) for r in sorted(guard)]
-    back = frozenset([(atom, True)] + [(r, True) for r in guard])
-    clauses.append(CnfClause(back))
+        return [frozenset([(atom, True)])]
+    clauses = [frozenset([(atom, False), (r, False)]) for r in sorted(guard)]
+    clauses.append(frozenset([(atom, True)] + [(r, True) for r in guard]))
     return clauses
 
 
 def equation_to_cnf(atom: int, supports: tuple,
-                    max_expansion: int = 200_000) -> list[CnfClause]:
+                    max_expansion: int = 200_000) -> list[frozenset[Literal]]:
     """Clauses for `p <-> (-S1 | -S2 | ...)` over a support antichain.
 
     The forward direction distributes a DNF of negated conjunctions, so
     the expansion is capped: the product of support sizes must stay under
-    `max_expansion`.
+    `max_expansion`.  Each clause has literals of one polarity only, so
+    none is a tautology.
     """
     if not supports:
-        return [CnfClause(frozenset([(atom, False)]))]
+        return [frozenset([(atom, False)])]
     if supports == (frozenset(),):
-        return [CnfClause(frozenset([(atom, True)]))]
-    clauses: list[CnfClause | None] = []
-    for support in supports:
-        clauses.append(make_clause([(atom, True)] + [(r, True) for r in support]))
+        return [frozenset([(atom, True)])]
+    clauses = [frozenset([(atom, True)] + [(r, True) for r in support])
+               for support in supports]
     combos = 1
     for support in supports:
         combos *= len(support)
@@ -117,8 +102,8 @@ def equation_to_cnf(atom: int, supports: tuple,
             raise ResourceLimitError(
                 f"defining equation for atom id {atom} expands past {max_expansion} clauses")
     for combo in product(*(sorted(s) for s in supports)):
-        clauses.append(make_clause([(atom, False)] + [(r, False) for r in combo]))
-    return [c for c in clauses if c is not None]
+        clauses.append(frozenset([(atom, False)] + [(r, False) for r in combo]))
+    return clauses
 
 
 def _compile(theory: CnfTheory) -> tuple[list[tuple], list[tuple[list[int], list[int]]]]:
@@ -126,7 +111,7 @@ def _compile(theory: CnfTheory) -> tuple[list[tuple], list[tuple[list[int], list
     clauses holding the literal that `atom = value` makes false, i.e. the
     only clauses that assignment can turn unit or falsified."""
     n = len(theory.atoms)
-    clauses = [tuple(clause.literals) for clause in theory.clauses]
+    clauses = [tuple(clause) for clause in theory.clauses]
     falsified_by: list[tuple[list[int], list[int]]] = [([], []) for _ in range(n)]
     for index, literals in enumerate(clauses):
         for atom, polarity in literals:
@@ -251,7 +236,7 @@ def export_dimacs(theory: CnfTheory) -> str:
     lines = [f"c {i + 1} {name}" for i, name in enumerate(theory.atoms.names)]
     lines.append(f"p cnf {n} {len(theory.clauses)}")
     for clause in theory.clauses:
-        lits = sorted(clause.literals)
+        lits = sorted(clause)
         encoded = [str(atom + 1 if polarity else -(atom + 1)) for atom, polarity in lits]
         lines.append(" ".join(encoded + ["0"]))
     return "".join(line + "\n" for line in lines)
@@ -292,5 +277,10 @@ def parse_dimacs(text: str) -> CnfTheory:
                 literal = atom + 1 if polarity else -(atom + 1)
                 raise ValueError(
                     f"literal {literal} is beyond the header's {var_count} variables")
-    table = AtomTable(names.get(i, f"v{i + 1}") for i in range(var_count))
+    ordered = [names.get(i, f"v{i + 1}") for i in range(var_count)]
+    table = AtomTable(ordered)
+    if len(table) < var_count:
+        # Ids match positions up to the first repeat.
+        repeated = next(name for i, name in enumerate(ordered) if table.id_of(name) != i)
+        raise ValueError(f"atom name {repeated!r} names two DIMACS variables")
     return CnfTheory.from_literals(table, clause_lists)

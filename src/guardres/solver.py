@@ -29,7 +29,7 @@ from .guarded import (
     saturate_supports,
     verify_proof,
 )
-from .sat import CnfClause, CnfTheory, enumerate_models, program_to_cnf, subequation_to_cnf
+from .sat import CnfTheory, enumerate_models, program_to_cnf, subequation_to_cnf
 from .semantics import is_stable
 
 # Documented bound for the instrumented space check: the per-candidate
@@ -46,7 +46,7 @@ class Subequation:
     guard: frozenset[int] | None
     proof: ProofTree | None = None
 
-    def cnf(self) -> list[CnfClause]:
+    def cnf(self) -> list[frozenset]:
         return subequation_to_cnf(self.atom, self.guard)
 
 
@@ -168,7 +168,7 @@ def _account(stats: SolveStats | None, program: Program,
         return
     stats.candidates_checked += 1
     subeq_literals = sum(
-        len(c.literals) for se in candidate.subequations for c in se.cnf())
+        len(c) for se in candidate.subequations for c in se.cnf())
     certificate = candidate.certificate_size()
     state = subeq_literals + certificate + len(program.atoms)
     stats.peak_candidate_state = max(stats.peak_candidate_state, state)

@@ -40,7 +40,7 @@ from guardres.guarded import (
     saturate_supports,
 )
 from guardres.parse import ParseError, SourceSpan
-from guardres.sat import CnfClause
+from guardres.sat import make_clause
 
 EXAMPLE_TEXT = "p :- t, not q.\np :- not r.\nq :- not s.\nt.\n"
 
@@ -212,7 +212,7 @@ def truth_table_models(theory: CnfTheory) -> list:
     satisfied = full
     for clause in theory.clauses:
         bits = 0
-        for atom, polarity in clause.literals:
+        for atom, polarity in clause:
             bits |= var_true[atom] if polarity else (~var_true[atom] & full)
         satisfied &= bits
     models = []
@@ -267,7 +267,7 @@ def _reference_unit_propagate(clauses, assign: dict):
             unassigned = None
             unassigned_count = 0
             satisfied = False
-            for atom, polarity in clause.literals:
+            for atom, polarity in clause:
                 value = assign.get(atom)
                 if value is None:
                     unassigned = (atom, polarity)
@@ -310,7 +310,7 @@ def reference_enumerate_models(theory: CnfTheory) -> list:
     """Models by re-solving with one full-length blocking clause per model."""
     n = len(theory.atoms)
     if n == 0:
-        return [] if any(not c.literals for c in theory.clauses) else [frozenset()]
+        return [] if any(not c for c in theory.clauses) else [frozenset()]
     clauses = list(theory.clauses)
     models = []
     while True:
@@ -319,9 +319,32 @@ def reference_enumerate_models(theory: CnfTheory) -> list:
             break
         model = frozenset(a for a, value in assignment.items() if value)
         models.append(model)
-        clauses.append(CnfClause(frozenset((a, not assignment[a]) for a in range(n))))
+        clauses.append(frozenset((a, not assignment[a]) for a in range(n)))
     models.sort(key=interpretation_key)
     return models
+
+
+def reference_equation_to_cnf(atom: int, supports: tuple,
+                              max_expansion: int = 200_000) -> list:
+    """The seed's defining-equation encoder: the clauses of a support
+    antichain go through `make_clause`, and tautologies are filtered out
+    afterwards."""
+    if not supports:
+        return [frozenset([(atom, False)])]
+    if supports == (frozenset(),):
+        return [frozenset([(atom, True)])]
+    clauses = []
+    for support in supports:
+        clauses.append(make_clause([(atom, True)] + [(r, True) for r in support]))
+    combos = 1
+    for support in supports:
+        combos *= len(support)
+        if combos > max_expansion:
+            raise ResourceLimitError(
+                f"defining equation for atom id {atom} expands past {max_expansion} clauses")
+    for combo in product(*(sorted(s) for s in supports)):
+        clauses.append(make_clause([(atom, False)] + [(r, False) for r in combo]))
+    return [c for c in clauses if c is not None]
 
 
 def reference_saturate_supports(program: Program, *,

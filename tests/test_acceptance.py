@@ -35,7 +35,7 @@ from guardres import (
 )
 from guardres.cli import run as cli_run
 from guardres.guarded import GuardedAtom
-from guardres.sat import clause_satisfied
+from guardres.sat import clause_satisfied, equation_to_cnf
 from guardres.solver import STATE_BOUND_FACTOR
 
 from corpus import (
@@ -48,6 +48,7 @@ from corpus import (
     random_tight_program,
     reference_dpll_solve,
     reference_enumerate_models,
+    reference_equation_to_cnf,
     reference_solve_stable,
     truth_table_models,
 )
@@ -137,6 +138,16 @@ def test_criterion_03_completion_models_are_stable_models(corpus):
         for program in corpus:
             assert models_of_completion(build_completion(program)) == \
                 brute_force_stable(program)
+
+
+def test_criterion_03_equation_clauses_match_reference(corpus):
+    """The encoder gives the seed encoder's clauses, in order and with the
+    same literal order inside each clause, which the DPLL compiles."""
+    for program in corpus:
+        for equation in build_completion(program).equations:
+            expected = reference_equation_to_cnf(equation.atom, equation.supports)
+            found = equation_to_cnf(equation.atom, equation.supports)
+            assert [tuple(c) for c in found] == [tuple(c) for c in expected]
 
 
 def test_criterion_04_candidate_search_sound_and_complete(corpus):

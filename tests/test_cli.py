@@ -298,6 +298,25 @@ def test_to_dimacs_candidate(example_file, capsys):
     assert run(["to-dimacs", example_file, "--candidate", "12"]) == 2
 
 
+_DIMACS_NAMES = "c 1 p\nc 2 t\nc 3 q\nc 4 r\nc 5 s\n"
+_PROGRAM_CLAUSES = "1 -2 3 0\n1 4 0\n3 5 0\n2 0\n"
+
+
+@pytest.mark.parametrize("index, expected", [
+    # Every atom false: the unit -t contradicts the fact t.
+    ("0", _DIMACS_NAMES + "p cnf 5 9\n" + _PROGRAM_CLAUSES
+     + "-1 0\n-2 0\n-3 0\n-4 0\n-5 0\n"),
+    ("5", _DIMACS_NAMES + "p cnf 5 10\n" + _PROGRAM_CLAUSES
+     + "-1 -3 0\n1 3 0\n-2 0\n-3 -5 0\n-4 0\n-5 0\n"),
+    # p <-> -r, t and q <-> -s repeat program clauses; only the first copy stays.
+    ("11", _DIMACS_NAMES + "p cnf 5 8\n" + _PROGRAM_CLAUSES
+     + "-1 -4 0\n-3 -5 0\n-4 0\n-5 0\n"),
+])
+def test_to_dimacs_candidate_golden(example_file, capsys, index, expected):
+    assert run(["to-dimacs", example_file, "--candidate", index]) == 0
+    assert capsys.readouterr().out == expected
+
+
 def test_help_exits_zero(capsys):
     assert run(["--help"]) == 0
 

@@ -21,7 +21,7 @@ from corpus import example_program, random_cnf, truth_table_models
 def _clause_name_sets(theory):
     name = theory.atoms.name
     return {
-        frozenset((name(a), pol) for a, pol in clause.literals)
+        frozenset((name(a), pol) for a, pol in clause)
         for clause in theory.clauses
     }
 
@@ -54,16 +54,16 @@ def test_theory_dedups_clauses():
 def test_subequation_to_cnf_shapes():
     # -p
     negative = subequation_to_cnf(0, None)
-    assert [set(c.literals) for c in negative] == [{(0, False)}]
+    assert [set(c) for c in negative] == [{(0, False)}]
     # p <-> -{r}: two clauses
     biconditional = subequation_to_cnf(0, frozenset([1]))
-    assert {frozenset(c.literals) for c in biconditional} == {
+    assert set(biconditional) == {
         frozenset({(0, False), (1, False)}),
         frozenset({(0, True), (1, True)}),
     }
     # p <-> -{} is just p
     positive = subequation_to_cnf(0, frozenset())
-    assert [set(c.literals) for c in positive] == [{(0, True)}]
+    assert [set(c) for c in positive] == [{(0, True)}]
 
 
 def test_equation_to_cnf_self_guard_is_unsat():
@@ -138,8 +138,8 @@ def test_unit_propagation_closure():
     assert trail == [0, 1, 2]
     # After closure no clause is unit or falsified under the assignment.
     for clause in theory.clauses:
-        undecided = [lit for lit in clause.literals if values[lit[0]] is None]
-        satisfied = any(values[a] == pol for a, pol in clause.literals)
+        undecided = [lit for lit in clause if values[lit[0]] is None]
+        satisfied = any(values[a] == pol for a, pol in clause)
         assert satisfied or len(undecided) > 1
     # Deciding d false leaves e as the last open literal of its clause.
     assert _assign(3, False, clauses, falsified_by, values, trail)
@@ -284,4 +284,14 @@ def test_dimacs_roundtrip_property(theory):
 ])
 def test_parse_dimacs_rejects_out_of_range(text):
     with pytest.raises(ValueError):
+        parse_dimacs(text)
+
+
+@pytest.mark.parametrize("text, name", [
+    ("c 1 x\nc 2 x\np cnf 2 1\n1 2 0\n", "x"),
+    # A named variable may not take the default name of an unnamed one.
+    ("c 1 v2\np cnf 2 1\n1 2 0\n", "v2"),
+])
+def test_parse_dimacs_rejects_repeated_names(text, name):
+    with pytest.raises(ValueError, match=f"atom name '{name}' names two DIMACS variables"):
         parse_dimacs(text)
