@@ -18,14 +18,6 @@ class ResourceLimitError(RuntimeError):
     """A configurable work limit (enumeration cap, support cap) was hit."""
 
 
-@dataclass(frozen=True)
-class Atom:
-    """An interned propositional atom."""
-
-    id: int
-    name: str
-
-
 class AtomTable:
     """Interner mapping atom names to dense ids; bijective, freezable."""
 
@@ -38,11 +30,11 @@ class AtomTable:
         for name in names:
             self.intern(name)
 
-    def intern(self, name: str) -> Atom:
-        """Return the atom named `name`, interning it if unseen."""
+    def intern(self, name: str) -> int:
+        """Return the id of the atom named `name`, interning it if unseen."""
         idx = self._ids.get(name)
         if idx is not None:
-            return Atom(idx, name)
+            return idx
         if not _IDENT_RE.match(name):
             raise ValueError(f"invalid atom name {name!r}")
         if self._frozen:
@@ -50,7 +42,7 @@ class AtomTable:
         idx = len(self._names)
         self._names.append(name)
         self._ids[name] = idx
-        return Atom(idx, name)
+        return idx
 
     def freeze(self) -> None:
         self._frozen = True
@@ -61,9 +53,6 @@ class AtomTable:
     def name(self, atom_id: int) -> str:
         return self._names[atom_id]
 
-    def atom(self, atom_id: int) -> Atom:
-        return Atom(atom_id, self._names[atom_id])
-
     @property
     def names(self) -> tuple[str, ...]:
         return tuple(self._names)
@@ -73,9 +62,6 @@ class AtomTable:
 
     def __len__(self) -> int:
         return len(self._names)
-
-    def __iter__(self) -> Iterator[Atom]:
-        return (Atom(i, n) for i, n in enumerate(self._names))
 
 
 # An interpretation is a plain frozenset of atom ids.

@@ -10,8 +10,10 @@ interpretation *admits* `p : S` when it avoids S entirely; collecting
 supports is what turns the reduct fixpoint into proof search.
 
 Nothing here recurses on the depth of a program or a proof: saturation
-runs a worklist, and lazy enumeration and every proof-tree walk keep an
-explicit stack, so chains thousands of levels deep stay in reach.
+runs a worklist, every proof-tree walk keeps an explicit stack, and lazy
+enumeration runs one generator per goal (an atom to derive) under a
+driver loop that keeps the goals of the current branch on a stack, so
+chains thousands of levels deep stay in reach.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from itertools import product
-from typing import Iterator
+from typing import Callable, Iterator
 
 from .core import AtomTable, Clause, Program, ResourceLimitError
 
@@ -135,7 +137,8 @@ def verify_proof(tree: ProofTree, program: Program) -> GuardedAtom:
     node must be labeled with the resolvent of its two parents, and the
     root must be fully resolved.  The root guard is also audited against
     the union of all leaf guards, which equality resolution guarantees.
-    Raises ProofError on any violation.
+    Each check reads one node and its parents only, so one pre-order pass
+    does them all.  Raises ProofError on any violation.
     """
     atom_leaves: set[GuardedAtom] = set()
     clause_leaves: set[GuardedClause] = set()
@@ -146,50 +149,35 @@ def verify_proof(tree: ProofTree, program: Program) -> GuardedAtom:
         else:
             atom_leaves.add(image.as_atom())
 
-    def check_leaf(node: ProofTree) -> None:
+    leaf_union: set[int] = set()
+    for node in tree.nodes():
         label = node.label
-        if isinstance(label, GuardedAtom):
-            if label not in atom_leaves:
-                raise ProofError(
-                    f"leaf {label} is not the image of a purely negative clause")
-        elif label not in clause_leaves:
-            raise ProofError(f"leaf {label} is not the image of a program clause")
-
-    def check_step(node: ProofTree) -> None:
-        clause_label = node.clause_parent.label
-        atom_label = node.atom_parent.label
-        if not isinstance(clause_label, GuardedClause):
+        clause_parent = node.clause_parent
+        atom_parent = node.atom_parent
+        if clause_parent is None and atom_parent is None:
+            if isinstance(label, GuardedAtom):
+                if label not in atom_leaves:
+                    raise ProofError(
+                        f"leaf {label} is not the image of a purely negative clause")
+            elif label not in clause_leaves:
+                raise ProofError(f"leaf {label} is not the image of a program clause")
+            leaf_union |= label.guard
+            continue
+        if clause_parent is None or atom_parent is None:
+            raise ProofError("inner node lacks a clause parent or an atom parent")
+        if not isinstance(clause_parent.label, GuardedClause):
             raise ProofError("clause parent is already fully resolved")
-        if not isinstance(atom_label, GuardedAtom):
+        if not isinstance(atom_parent.label, GuardedAtom):
             raise ProofError("atom parent still has body atoms")
         try:
-            expected = _resolvent_label(clause_label, atom_label)
+            expected = _resolvent_label(clause_parent.label, atom_parent.label)
         except ValueError as exc:
             raise ProofError(str(exc)) from exc
-        if node.label != expected:
-            raise ProofError(f"inner node labeled {node.label}, resolution gives {expected}")
-
-    # Post-order over an explicit stack: both parents' subtrees (clause
-    # parent first) are checked before the step that joins them.
-    stack: list[tuple[ProofTree, bool]] = [(tree, False)]
-    while stack:
-        node, parents_checked = stack.pop()
-        if parents_checked:
-            check_step(node)
-        elif node.is_leaf:
-            check_leaf(node)
-        elif node.clause_parent is None or node.atom_parent is None:
-            raise ProofError("inner node lacks a clause parent or an atom parent")
-        else:
-            stack.append((node, True))
-            stack.append((node.atom_parent, False))
-            stack.append((node.clause_parent, False))
+        if label != expected:
+            raise ProofError(f"inner node labeled {label}, resolution gives {expected}")
     root = tree.label
     if not isinstance(root, GuardedAtom):
         raise ProofError("root is not fully resolved")
-    leaf_union: frozenset[int] = frozenset()
-    for leaf in tree.leaves():
-        leaf_union |= leaf.label.guard
     if root.guard != leaf_union:
         raise ProofError("root guard differs from the union of leaf guards")
     return root
@@ -355,28 +343,41 @@ def saturate_supports(program: Program, *,
     return SupportTable(program, antichains)
 
 
-# Asks the goal on top of the lazy search's stack for its next proof.
-_ADVANCE = object()
+def _derive(target: int, clauses_for: Callable[[int], tuple[Clause, ...]],
+            branch: set[int]) -> Iterator:
+    """One goal of the lazy search: the proofs of `target`, in stream order.
 
-
-class _Goal:
-    """One atom to derive inside the lazy search, suspended between proofs.
-
-    `clauses[next_clause:]` are still untried.  While a clause with a
-    positive body is being expanded, `body` is its sorted positive body,
-    `nodes[j]` its leaf resolved against the proofs of `body[:j]`, and
-    `children[j]` the goal producing proofs of `body[j]`.
+    Yields a proof of `target`, or a `(body atom, goal)` pair that asks the
+    driver for that goal's next proof; the driver sends the proof back, or
+    None once the goal is exhausted.  `branch` is the driver's set of
+    blocked atoms, read whenever a clause is tried.
     """
-
-    __slots__ = ("atom", "clauses", "next_clause", "body", "nodes", "children")
-
-    def __init__(self, atom: int, clauses: tuple[Clause, ...]):
-        self.atom = atom
-        self.clauses = clauses
-        self.next_clause = 0
-        self.body: list[int] | None = None
-        self.nodes: list[ProofTree] = []
-        self.children: list[_Goal] = []
+    for clause in clauses_for(target):
+        pos_body = clause.pos_body
+        if not pos_body.isdisjoint(branch):
+            continue
+        if not pos_body:
+            yield ProofTree(GuardedAtom(target, clause.neg_body))
+            continue
+        body = sorted(pos_body)
+        # nodes[j] is the clause's leaf resolved against the current proofs
+        # of body[:j]; goals[j] produces the proofs of body[j].
+        nodes = [ProofTree(GuardedClause(target, pos_body, clause.neg_body))]
+        goals = [(body[0], _derive(body[0], clauses_for, branch))]
+        while goals:
+            proof = yield goals[-1]
+            if proof is None:
+                goals.pop()
+                nodes.pop()
+                continue
+            node = ProofTree(_resolvent_label(nodes[-1].label, proof.label),
+                             nodes[-1], proof)
+            if len(goals) == len(body):
+                yield node
+            else:
+                nodes.append(node)
+                child = body[len(goals)]
+                goals.append((child, _derive(child, clauses_for, branch)))
 
 
 def enumerate_supports(program: Program,
@@ -391,79 +392,33 @@ def enumerate_supports(program: Program,
     enlarge the guard.  Guards may repeat when distinct proofs produce
     the same support.
 
-    The search keeps its goals on an explicit stack instead of recursing:
-    the stack is the branch from `atom` to the goal being advanced, and
-    its atoms are exactly the ones blocked for that goal.
+    Each goal is a `_derive` generator, and this driver keeps the goals
+    of the current branch on an explicit stack instead of recursing: it
+    runs the goal on top, pushes the goal that one asks for, and hands a
+    goal's proof (or its exhaustion) down to the goal below.  The atoms
+    on the stack are exactly the ones blocked for the goal on top.
     """
-    clauses_for = program.clauses_for
-    root = _Goal(atom, clauses_for(atom))
-    stack = [root]
     branch = {atom}
-
-    def push(goal: _Goal) -> None:
-        stack.append(goal)
-        branch.add(goal.atom)
-
-    def open_child(goal: _Goal) -> None:
-        """Start the goal for the next body atom of `goal`'s clause."""
-        body_atom = goal.body[len(goal.children)]
-        goal.children.append(_Goal(body_atom, clauses_for(body_atom)))
-        push(goal.children[-1])
-
-    # `answer` is what the goal on top receives: _ADVANCE asks it for its
-    # next proof; a ProofTree or None is its last child's proof or its
-    # last child's exhaustion.
-    answer: object = _ADVANCE
+    stack = [(atom, _derive(atom, program.clauses_for, branch))]
+    answer = None
     while True:
-        goal = stack[-1]
-        if answer is _ADVANCE and goal.body is not None:
-            push(goal.children[-1])
-            continue
-        if answer is _ADVANCE:
-            answer = None
-            while goal.next_clause < len(goal.clauses):
-                clause = goal.clauses[goal.next_clause]
-                goal.next_clause += 1
-                if not clause.pos_body.isdisjoint(branch):
-                    continue
-                if not clause.pos_body:
-                    answer = ProofTree(GuardedAtom(goal.atom, clause.neg_body))
-                    break
-                goal.body = sorted(clause.pos_body)
-                goal.nodes = [ProofTree(
-                    GuardedClause(goal.atom, clause.pos_body, clause.neg_body))]
-                open_child(goal)
-                answer = _ADVANCE
-                break
-            if answer is _ADVANCE:
-                continue
-        elif answer is None:
-            goal.children.pop()
-            if not goal.children:
-                goal.body = None
-            answer = _ADVANCE
-            continue
-        else:
-            position = len(goal.children) - 1
-            parent = goal.nodes[position]
-            label = _resolvent_label(parent.label, answer.label)
-            del goal.nodes[position + 1:]
-            goal.nodes.append(ProofTree(label, parent, answer))
-            if position + 1 < len(goal.body):
-                open_child(goal)
-                answer = _ADVANCE
-                continue
-            answer = goal.nodes[-1]
-        # `goal` has answered: a proof, or None once it is exhausted.
-        stack.pop()
-        branch.discard(goal.atom)
-        if stack:
-            continue
-        if answer is None:
+        target, goal = stack[-1]
+        try:
+            item = goal.send(answer)
+        except StopIteration:
+            item = None
+        answer = None
+        if isinstance(item, tuple):
+            stack.append(item)
+            branch.add(item[0])
+        elif len(stack) > 1:
+            stack.pop()
+            branch.discard(target)
+            answer = item
+        elif item is None:
             return
-        yield answer.label.guard, answer
-        push(root)
-        answer = _ADVANCE
+        else:
+            yield item.label.guard, item
 
 
 def format_proof(tree: ProofTree, table: AtomTable) -> str:

@@ -99,13 +99,7 @@ def parse_program(text: str) -> Program:
     """
     take = iter(_tokenize(text)).__next__
     table = AtomTable()
-    ids: dict[str, int] = {}
-
-    def atom_id(name: str) -> int:
-        idx = ids.get(name)
-        if idx is None:
-            idx = ids[name] = table.intern(name).id
-        return idx
+    atom_id = table.intern
 
     # Every branch that takes the eof token stops, so `take` never runs dry.
     clauses: list[Clause] = []

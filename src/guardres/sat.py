@@ -54,10 +54,6 @@ def clause_satisfied(clause: frozenset[Literal], members: frozenset[int]) -> boo
     return any((atom in members) == polarity for atom, polarity in clause)
 
 
-def theory_satisfied(theory: CnfTheory, members: frozenset[int]) -> bool:
-    return all(clause_satisfied(c, members) for c in theory.clauses)
-
-
 def program_to_cnf(program: Program) -> CnfTheory:
     """One clause per program clause: break the body, assert the head."""
     clause_lists = []
@@ -243,10 +239,16 @@ def export_dimacs(theory: CnfTheory) -> str:
 
 
 def parse_dimacs(text: str) -> CnfTheory:
-    """Parse DIMACS CNF back into a theory; `c <idx> <name>` comments name atoms."""
+    """Parse DIMACS CNF back into a theory; `c <idx> <name>` comments name atoms.
+
+    One clause per line.  Raises ValueError on a malformed or repeated
+    header, on a clause line with a 0 before its end, on a clause count
+    other than the header's (counted before duplicates and tautologies are
+    dropped), and on a literal or a name comment outside the variables.
+    """
     names: dict[int, str] = {}
     clause_lists: list[list[Literal]] = []
-    var_count: int | None = None
+    header: tuple[int, int] | None = None
     for raw in text.splitlines():
         line = raw.strip()
         if not line:
@@ -260,23 +262,35 @@ def parse_dimacs(text: str) -> CnfTheory:
             parts = line.split()
             if len(parts) != 4 or parts[1] != "cnf":
                 raise ValueError(f"malformed DIMACS header: {line!r}")
-            var_count = int(parts[2])
+            if header is not None:
+                raise ValueError(f"second DIMACS header: {line!r}")
+            header = int(parts[2]), int(parts[3])
             continue
         values = [int(tok) for tok in line.split()]
         if not values or values[-1] != 0:
             raise ValueError(f"clause line does not end with 0: {line!r}")
+        if 0 in values[:-1]:
+            raise ValueError(f"clause line has a 0 before its end: {line!r}")
         clause_lists.append(
             [(abs(v) - 1, v > 0) for v in values[:-1]])
-    if var_count is None:
+    if header is None:
         raise ValueError("missing DIMACS header")
+    var_count, clause_count = header
     if var_count < 0:
         raise ValueError(f"negative DIMACS variable count: {var_count}")
+    if len(clause_lists) != clause_count:
+        raise ValueError(
+            f"{len(clause_lists)} clause lines, but the header says {clause_count}")
     for lits in clause_lists:
         for atom, polarity in lits:
             if atom >= var_count:
                 literal = atom + 1 if polarity else -(atom + 1)
                 raise ValueError(
                     f"literal {literal} is beyond the header's {var_count} variables")
+    for atom in names:
+        if not 0 <= atom < var_count:
+            raise ValueError(
+                f"name comment for variable {atom + 1} is outside 1..{var_count}")
     ordered = [names.get(i, f"v{i + 1}") for i in range(var_count)]
     table = AtomTable(ordered)
     if len(table) < var_count:

@@ -154,6 +154,28 @@ def check_levels(program: Program, members: frozenset[int], ranks: dict) -> bool
     return True
 
 
+def _ranks(succs: dict[int, set[int]]) -> dict | None:
+    """Longest-path ranks over the edges `q -> succs[q]`, None on a cycle.
+
+    Kahn's algorithm: a node joins the queue once every predecessor has
+    been worked, so its rank is final then.  Longest-path ranks do not
+    depend on the order the queue is worked in.
+    """
+    pred_count = dict.fromkeys(succs, 0)
+    for heads in succs.values():
+        for head in heads:
+            pred_count[head] += 1
+    rank = dict.fromkeys(succs, 0)
+    queue = [a for a in succs if pred_count[a] == 0]
+    for q in queue:  # grows while it is walked
+        for head in succs[q]:
+            rank[head] = max(rank[head], rank[q] + 1)
+            pred_count[head] -= 1
+            if pred_count[head] == 0:
+                queue.append(head)
+    return rank if len(queue) == len(rank) else None
+
+
 def is_tight(program: Program) -> dict | None:
     """Topological ranks over the positive dependency graph, None on a cycle.
 
@@ -161,31 +183,11 @@ def is_tight(program: Program) -> dict | None:
     body; ranks are longest-path depths, so every positive body atom ranks
     strictly below its head.
     """
-    n = len(program.atoms)
-    succs: list[set[int]] = [set() for _ in range(n)]
+    succs: dict[int, set[int]] = {a: set() for a in range(len(program.atoms))}
     for clause in program.clauses:
         for q in clause.pos_body:
             succs[q].add(clause.head)
-    pred_count = [0] * n
-    for q in range(n):
-        for head in succs[q]:
-            pred_count[head] += 1
-    rank = [0] * n
-    queue = [a for a in range(n) if pred_count[a] == 0]
-    done = 0
-    i = 0
-    while i < len(queue):
-        q = queue[i]
-        i += 1
-        done += 1
-        for head in sorted(succs[q]):
-            rank[head] = max(rank[head], rank[q] + 1)
-            pred_count[head] -= 1
-            if pred_count[head] == 0:
-                queue.append(head)
-    if done != n:
-        return None
-    return {a: rank[a] for a in range(n)}
+    return _ranks(succs)
 
 
 def is_tight_on(program: Program, members: frozenset[int],
@@ -209,21 +211,4 @@ def is_tight_on(program: Program, members: frozenset[int],
             return None
         for q in clause.pos_body:
             succs[q].add(clause.head)
-    pred_count = {a: 0 for a in members}
-    for q in members:
-        for head in succs[q]:
-            pred_count[head] += 1
-    rank = {a: 0 for a in members}
-    queue = [a for a in sorted(members) if pred_count[a] == 0]
-    i = 0
-    while i < len(queue):
-        q = queue[i]
-        i += 1
-        for head in sorted(succs[q]):
-            rank[head] = max(rank[head], rank[q] + 1)
-            pred_count[head] -= 1
-            if pred_count[head] == 0:
-                queue.append(head)
-    if len(queue) != len(members):
-        return None
-    return rank
+    return _ranks(succs)

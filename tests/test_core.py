@@ -18,22 +18,20 @@ from corpus import direct_clause_value
 
 def test_intern_first_insertion():
     table = AtomTable()
-    atom = table.intern("p")
-    assert (atom.id, atom.name) == (0, "p")
+    assert table.intern("p") == 0
+    assert table.name(0) == "p"
 
 
 def test_intern_idempotent():
     table = AtomTable()
-    first = table.intern("p")
-    second = table.intern("p")
-    assert first == second
+    assert table.intern("p") == table.intern("p") == 0
     assert len(table) == 1
 
 
 def test_intern_dense_ids():
     table = AtomTable()
     table.intern("p")
-    assert table.intern("q").id == 1
+    assert table.intern("q") == 1
 
 
 def test_intern_rejects_invalid_names():
@@ -46,20 +44,20 @@ def test_intern_rejects_invalid_names():
 def test_intern_name_roundtrip():
     table = AtomTable()
     for name in ("p", "q0", "_under", "CamelCase", "x_1_y"):
-        assert table.name(table.intern(name).id) == name
+        assert table.name(table.intern(name)) == name
 
 
 def test_frozen_table_rejects_new_names():
     table = AtomTable(["p"])
     table.freeze()
-    assert table.intern("p").id == 0
+    assert table.intern("p") == 0
     with pytest.raises(ValueError):
         table.intern("q")
 
 
 def _clause(table, head, pos=(), neg=()):
-    ids = lambda names: frozenset(table.intern(n).id for n in names)
-    return Clause(table.intern(head).id, ids(pos), ids(neg))
+    ids = lambda names: frozenset(table.intern(n) for n in names)
+    return Clause(table.intern(head), ids(pos), ids(neg))
 
 
 def test_satisfies_clause_examples():

@@ -1,3 +1,4 @@
+import gc
 import random
 from itertools import islice
 
@@ -124,6 +125,48 @@ def test_verify_rejects_unresolved_root():
     first = program.clauses[0]
     with pytest.raises(ProofError):
         verify_proof(ProofTree(translate(first)), program)
+
+
+def _faulty_proof(program, fault):
+    """A hand-made tree over the worked example with one `verify_proof` fault."""
+    p, t, q, r, s = (program.atoms.id_of(n) for n in "ptqrs")
+    clause_leaf = ProofTree(GuardedClause(p, frozenset([t]), frozenset([q])))
+    t_leaf = ProofTree(GuardedAtom(t, frozenset()))
+    resolved = GuardedAtom(p, frozenset([q]))
+    if fault == "foreign atom leaf":
+        return ProofTree(GuardedAtom(p, frozenset()))
+    if fault == "foreign clause leaf":
+        return ProofTree(GuardedClause(p, frozenset([q]), frozenset()))
+    if fault == "clause parent resolved":
+        return ProofTree(resolved, clause_parent=t_leaf, atom_parent=t_leaf)
+    if fault == "atom parent with body":
+        return ProofTree(resolved, clause_parent=clause_leaf, atom_parent=clause_leaf)
+    if fault == "missing parent":
+        return ProofTree(resolved, clause_parent=clause_leaf)
+    if fault == "wrong inner label":
+        return ProofTree(GuardedAtom(p, frozenset([q, r])),
+                         clause_parent=clause_leaf, atom_parent=t_leaf)
+    if fault == "atom not in body":
+        q_leaf = ProofTree(GuardedAtom(q, frozenset([s])))
+        return ProofTree(resolved, clause_parent=clause_leaf, atom_parent=q_leaf)
+    assert fault == "unresolved root"
+    return clause_leaf
+
+
+@pytest.mark.parametrize("fault, message", [
+    ("foreign atom leaf", "is not the image of a purely negative clause"),
+    ("foreign clause leaf", "is not the image of a program clause"),
+    ("clause parent resolved", "clause parent is already fully resolved"),
+    ("atom parent with body", "atom parent still has body atoms"),
+    ("missing parent", "inner node lacks a clause parent or an atom parent"),
+    ("wrong inner label", "resolution gives"),
+    ("atom not in body", "does not occur in the clause body"),
+    ("unresolved root", "root is not fully resolved"),
+])
+def test_verify_reports_each_fault(fault, message):
+    program = example_program()
+    with pytest.raises(ProofError, match=message):
+        verify_proof(_faulty_proof(program, fault), program)
 
 
 def test_saturate_worked_example():
@@ -345,6 +388,24 @@ def test_deep_proof_equality_hash_and_repr():
     cut = ProofTree(first.label, clause_parent=first.clause_parent,
                     atom_parent=ProofTree(first.atom_parent.label))
     assert first != cut and cut != first
+
+
+def test_lazy_search_leaves_no_garbage_cycles():
+    # Goals are module-level generators that hold their subgoals one way,
+    # so a drained or abandoned enumeration is freed by reference counts.
+    tables = [saturate_supports(program) for program in
+              (example_program(), prog(reversed_chain_text(300)))]
+    gc.collect()
+    gc.disable()
+    try:
+        for table in tables:
+            for atom in range(len(table.program.atoms)):
+                for _ in enumerate_supports(table.program, atom):
+                    pass
+                table.certificates(atom)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_format_proof_golden():

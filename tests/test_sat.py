@@ -281,6 +281,14 @@ def test_dimacs_roundtrip_property(theory):
     "p cnf 2 1\n1 5 0\n",
     "p cnf 2 1\n-3 0\n",
     "p cnf -1 0\n",
+    # Fewer clause lines than the header says, and a second header.
+    "p cnf 2 5\n1 0\n",
+    "p cnf 1 1\np cnf 3 0\n1 0\n3 0\n",
+    # Name comments for variable 0 and for one past the variable count.
+    "c 0 x\nc 7 y\np cnf 1 1\n1 0\n",
+    "c 2 y\np cnf 1 1\n1 0\n",
+    # A 0 inside a clause line.
+    "p cnf 2 1\n1 0 2 0\n",
 ])
 def test_parse_dimacs_rejects_out_of_range(text):
     with pytest.raises(ValueError):
@@ -295,3 +303,9 @@ def test_parse_dimacs_rejects_out_of_range(text):
 def test_parse_dimacs_rejects_repeated_names(text, name):
     with pytest.raises(ValueError, match=f"atom name '{name}' names two DIMACS variables"):
         parse_dimacs(text)
+
+
+def test_parse_dimacs_counts_lines_before_dedup():
+    # Three clause lines match the header; the repeat and the tautology go.
+    theory = parse_dimacs("p cnf 2 3\n1 0\n1 0\n1 -1 0\n")
+    assert theory.clauses == (frozenset([(0, True)]),)
