@@ -6,6 +6,10 @@ empty guard supports it, `-p` when nothing does, and `p <-> -S1 | -S2 |
 stable models.  Dropping non-minimal supports is sound because avoiding
 a set means avoiding all its subsets, so dominated disjuncts are
 subsumed.
+
+The models come from one SAT search over the equations' linear chain
+encoding (`sat.equation_to_cnf`); its auxiliary atoms follow the
+program's atoms and are projected away, with no limit on the atom count.
 """
 
 from __future__ import annotations
@@ -13,8 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .core import AtomTable, Clause, Program, ResourceLimitError
-from .guarded import DEFAULT_SUPPORT_CAP, saturate_supports
+from .core import AtomTable, Clause, Program, interpretation_key
+from .guarded import saturate_supports
 from .sat import CnfTheory, enumerate_models, equation_to_cnf
 from .semantics import brute_force_stable
 
@@ -73,39 +77,39 @@ class CompletionTheory:
         return "".join(format_equation(eq, table) + "\n" for eq in self.equations)
 
 
-def build_completion(program: Program, *,
-                     max_supports_per_atom: int = DEFAULT_SUPPORT_CAP,
-                     max_derivations: int | None = None) -> CompletionTheory:
+def build_completion(program: Program) -> CompletionTheory:
     """Saturate supports and assemble the per-atom equation theory."""
-    table = saturate_supports(
-        program,
-        max_supports_per_atom=max_supports_per_atom,
-        max_derivations=max_derivations)
+    table = saturate_supports(program)
     equations = tuple(
         Equation(atom, table.supports(atom)) for atom in range(len(program.atoms)))
     return CompletionTheory(program, equations)
 
 
-def models_of_completion(theory: CompletionTheory, cap: int = 20) -> list[frozenset[int]]:
-    """All interpretations satisfying every equation, via the SAT layer."""
-    n = len(theory.program.atoms)
-    if n > cap:
-        raise ResourceLimitError(
-            f"completion-model enumeration over {n} atoms exceeds the cap of {cap}")
+def models_of_completion(theory: CompletionTheory) -> list[frozenset[int]]:
+    """All interpretations satisfying every equation, in bitmask order.
+
+    The chain atoms get ids after the program's and names longer than any
+    program name, so no name is shared.  Each model of the program atoms
+    extends to exactly one model of the chains, so projecting loses none.
+    """
+    names = theory.program.atoms.names
+    n = len(names)
     clauses = []
+    next_aux = n
     for equation in theory.equations:
-        clauses.extend(equation_to_cnf(equation.atom, equation.supports))
-    return enumerate_models(CnfTheory(theory.program.atoms, clauses))
+        clauses.extend(equation_to_cnf(equation.atom, equation.supports, next_aux))
+        next_aux += max(len(equation.supports) - 1, 0)
+    prefix = "_" * (max(map(len, names), default=0) + 1)
+    table = AtomTable([*names, *(f"{prefix}{i}" for i in range(next_aux - n))])
+    program_atoms = frozenset(range(n))
+    models = [model & program_atoms
+              for model in enumerate_models(CnfTheory(table, clauses))]
+    return sorted(models, key=interpretation_key)
 
 
-def dung_transform(program: Program, *,
-                   max_supports_per_atom: int = DEFAULT_SUPPORT_CAP,
-                   max_derivations: int | None = None) -> Program:
+def dung_transform(program: Program) -> Program:
     """Equivalent purely negative program: one clause per minimal support."""
-    table = saturate_supports(
-        program,
-        max_supports_per_atom=max_supports_per_atom,
-        max_derivations=max_derivations)
+    table = saturate_supports(program)
     clauses = [
         Clause(atom, frozenset(), support)
         for atom in range(len(program.atoms))

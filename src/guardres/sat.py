@@ -6,15 +6,16 @@ propagation over per-literal occurrence lists plus chronological
 backtracking on an explicit trail, with a fixed branching order (lowest
 unassigned atom id, false first) — so model orders are reproducible and
 golden tests stay byte-stable.  Enumeration is the same search continued
-past each model, with no blocking clauses and no restarts.
+past each model, with no blocking clauses and no restarts.  A defining
+equation is encoded linearly, through a chain of auxiliary atoms
+(`equation_to_cnf`).
 """
 
 from __future__ import annotations
 
-from itertools import product
 from typing import Iterable, Iterator, Mapping
 
-from .core import AtomTable, Program, ResourceLimitError, interpretation_key
+from .core import AtomTable, Program, interpretation_key
 
 # (atom id, polarity); (3, False) reads "atom 3 is false".
 Literal = tuple
@@ -77,28 +78,31 @@ def subequation_to_cnf(atom: int, guard: frozenset[int] | None) -> list[frozense
 
 
 def equation_to_cnf(atom: int, supports: tuple,
-                    max_expansion: int = 200_000) -> list[frozenset[Literal]]:
-    """Clauses for `p <-> (-S1 | -S2 | ...)` over a support antichain.
+                    first_aux: int) -> list[frozenset[Literal]]:
+    """Clauses for `p <-> (-S1 | -S2 | ... | -Sk)` over a support antichain.
 
-    The forward direction distributes a DNF of negated conjunctions, so
-    the expansion is capped: the product of support sizes must stay under
-    `max_expansion`.  Each clause has literals of one polarity only, so
-    none is a tautology.
+    With at most one support this is `subequation_to_cnf`.  Otherwise a
+    chain of auxiliary atoms, ids `first_aux .. first_aux + k - 2`, reads
+    `c_j <-> c_{j-1} & (S_j is hit)` with `c_0 = p`; `c_{k-1}` with `S_k`
+    hit is false, and `p | S_j` holds for every j.  That is linear in the
+    antichain: k + sum_{j<k} (|S_j| + 2) + |S_k| clauses, none a
+    tautology.  Once the atoms of `p` and of the guards are set, unit
+    propagation fixes every `c_j`, so each model of the equation has
+    exactly one extension to the chain.
     """
-    if not supports:
-        return [frozenset([(atom, False)])]
-    if supports == (frozenset(),):
-        return [frozenset([(atom, True)])]
+    if len(supports) <= 1:
+        return subequation_to_cnf(atom, supports[0] if supports else None)
     clauses = [frozenset([(atom, True)] + [(r, True) for r in support])
                for support in supports]
-    combos = 1
-    for support in supports:
-        combos *= len(support)
-        if combos > max_expansion:
-            raise ResourceLimitError(
-                f"defining equation for atom id {atom} expands past {max_expansion} clauses")
-    for combo in product(*(sorted(s) for s in supports)):
-        clauses.append(frozenset([(atom, False)] + [(r, False) for r in combo]))
+    previous = atom
+    for aux, support in enumerate(supports[:-1], first_aux):
+        clauses.append(frozenset([(aux, False), (previous, True)]))
+        clauses.append(frozenset([(aux, False)] + [(r, True) for r in support]))
+        clauses.extend(frozenset([(previous, False), (r, False), (aux, True)])
+                       for r in sorted(support))
+        previous = aux
+    clauses.extend(frozenset([(previous, False), (r, False)])
+                   for r in sorted(supports[-1]))
     return clauses
 
 

@@ -190,25 +190,19 @@ def is_tight(program: Program) -> dict | None:
     return _ranks(succs)
 
 
-def is_tight_on(program: Program, members: frozenset[int],
-                restricted: bool = True) -> dict | None:
+def is_tight_on(program: Program, members: frozenset[int]) -> dict | None:
     """Rank function on `members` decreasing into positive bodies, or None.
 
-    `restricted` (the default) constrains only clauses whose full body
-    holds under `members`, so ranks are always defined where needed.  The
-    literal reading constrains every clause whose head is in `members`
-    and fails outright when such a clause needs an atom outside `members`
-    (no rank exists there).
+    Only clauses whose head is in `members` and whose full body holds
+    under `members` are constrained, so ranks are always defined where
+    needed.
     """
     succs: dict[int, set[int]] = {a: set() for a in members}
     for clause in program.clauses:
         if clause.head not in members:
             continue
-        if restricted:
-            if not (clause.pos_body <= members and not (clause.neg_body & members)):
-                continue
-        elif not clause.pos_body <= members:
-            return None
+        if not (clause.pos_body <= members and not (clause.neg_body & members)):
+            continue
         for q in clause.pos_body:
             succs[q].add(clause.head)
     return _ranks(succs)

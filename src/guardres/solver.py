@@ -21,7 +21,6 @@ from typing import Iterator
 
 from .core import AtomTable, Program, format_interpretation
 from .guarded import (
-    DEFAULT_SUPPORT_CAP,
     ProofError,
     ProofTree,
     enumerate_supports,  # noqa: F401  perfbench/spans.py traces this name here
@@ -110,9 +109,7 @@ class SolveStats:
     max_certificate_size: int = 0
 
 
-def candidate_theories(program: Program, *,
-                       max_supports_per_atom: int = DEFAULT_SUPPORT_CAP,
-                       max_derivations: int | None = None) -> Iterator[CandidateTheory]:
+def candidate_theories(program: Program) -> Iterator[CandidateTheory]:
     """All candidate theories, lazily, in a fixed deterministic order.
 
     Per atom the choices are `-p` first, then the subset-minimal supports
@@ -122,10 +119,7 @@ def candidate_theories(program: Program, *,
     shrinking to a minimal one.
     """
     base = program_to_cnf(program)
-    table = saturate_supports(
-        program,
-        max_supports_per_atom=max_supports_per_atom,
-        max_derivations=max_derivations)
+    table = saturate_supports(program)
     choices: list[list[Subequation]] = []
     for atom in range(len(program.atoms)):
         options = [Subequation(atom, None)]
@@ -176,9 +170,7 @@ def _account(stats: SolveStats | None, program: Program,
 
 
 def solve_stable(program: Program, limit: int | None = None, *,
-                 stats: SolveStats | None = None,
-                 max_supports_per_atom: int = DEFAULT_SUPPORT_CAP,
-                 max_derivations: int | None = None) -> list:
+                 stats: SolveStats | None = None) -> list:
     """Stable models with certificates, deduplicated, in candidate order.
 
     Returns `(model, candidate)` pairs; the candidate carries the chosen
@@ -194,11 +186,7 @@ def solve_stable(program: Program, limit: int | None = None, *,
         return []
     results = []
     emitted: set[frozenset[int]] = set()
-    candidates = candidate_theories(
-        program,
-        max_supports_per_atom=max_supports_per_atom,
-        max_derivations=max_derivations)
-    for candidate in candidates:
+    for candidate in candidate_theories(program):
         if _prunable(candidate):
             continue
         _account(stats, program, candidate)

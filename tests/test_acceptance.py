@@ -11,6 +11,8 @@ from contextlib import contextmanager
 import pytest
 
 from guardres import (
+    AtomTable,
+    CnfTheory,
     SolveStats,
     all_interpretations,
     brute_force_stable,
@@ -34,6 +36,7 @@ from guardres import (
     verify_proof,
 )
 from guardres.cli import run as cli_run
+from guardres.core import interpretation_key
 from guardres.guarded import GuardedAtom
 from guardres.sat import clause_satisfied, equation_to_cnf
 from guardres.solver import STATE_BOUND_FACTOR
@@ -141,13 +144,22 @@ def test_criterion_03_completion_models_are_stable_models(corpus):
 
 
 def test_criterion_03_equation_clauses_match_reference(corpus):
-    """The encoder gives the seed encoder's clauses, in order and with the
-    same literal order inside each clause, which the DPLL compiles."""
+    """Projected onto the program atoms, the chain encoding of every
+    equation has the seed encoder's models, and each of them extends to
+    exactly one assignment of the chain atoms."""
     for program in corpus:
+        names = program.atoms.names
+        program_atoms = frozenset(range(len(names)))
         for equation in build_completion(program).equations:
-            expected = reference_equation_to_cnf(equation.atom, equation.supports)
-            found = equation_to_cnf(equation.atom, equation.supports)
-            assert [tuple(c) for c in found] == [tuple(c) for c in expected]
+            expected = truth_table_models(CnfTheory(
+                program.atoms, reference_equation_to_cnf(equation.atom, equation.supports)))
+            chain = [f"chain{i}" for i in range(len(equation.supports) - 1)]
+            full = truth_table_models(CnfTheory(
+                AtomTable([*names, *chain]),
+                equation_to_cnf(equation.atom, equation.supports, len(names))))
+            projected = [model & program_atoms for model in full]
+            assert len(set(projected)) == len(full)
+            assert sorted(projected, key=interpretation_key) == expected
 
 
 def test_criterion_04_candidate_search_sound_and_complete(corpus):

@@ -1,4 +1,5 @@
 import random
+from itertools import combinations, product
 
 import pytest
 
@@ -14,8 +15,9 @@ from guardres import (
     models_of_completion,
     render_program,
     saturate_supports,
+    solve_stable,
 )
-from guardres.core import ResourceLimitError
+from guardres.core import interpretation_key
 
 from corpus import all_supports, example_program, members_of, prog, random_program
 
@@ -77,11 +79,50 @@ def test_models_of_completion_single_fact():
     assert models_of_completion(theory) == [frozenset([0])]
 
 
-def test_models_of_completion_cap():
-    table = AtomTable(f"a{i}" for i in range(21))
-    theory = build_completion(Program(table, []))
-    with pytest.raises(ResourceLimitError):
-        models_of_completion(theory)
+def _choice_pairs_text(pairs: int) -> str:
+    return "".join(f"a{i} :- not b{i}.\nb{i} :- not a{i}.\n" for i in range(pairs))
+
+
+def test_models_of_completion_past_atom_count_of_brute_force():
+    # 22 atoms, past brute force's 20-atom oracle cap: one model per choice.
+    program = prog(_choice_pairs_text(11))
+    expected = sorted(
+        (frozenset(program.atoms.id_of(f"{'ab'[pick]}{i}") for i, pick in enumerate(picks))
+         for picks in product((0, 1), repeat=11)),
+        key=interpretation_key)
+    assert len(expected) == 2 ** 11
+    assert models_of_completion(build_completion(program)) == expected
+
+
+@pytest.mark.parametrize("text", [
+    # 45 two-atom supports over 10 atoms: 2^45 clauses by distribution.
+    "".join(f"p :- not x{i}, not x{j}.\n" for i, j in combinations(range(10), 2)),
+    # 6 disjoint 8-atom supports, 49 atoms: 8^6 clauses by distribution.
+    "".join("p :- " + ", ".join(f"not x{j}_{i}" for i in range(8)) + ".\n"
+            for j in range(6)),
+], ids=["45-two-atom-supports", "6-disjoint-8-atom-supports"])
+def test_models_of_completion_many_supports_match_candidate_engine(text):
+    program = prog(text)
+    models = models_of_completion(build_completion(program))
+    assert models == [members_of(program, "p")]
+    assert models == [model for model, _ in solve_stable(program)]
+
+
+def test_models_of_completion_atom_names_like_chain_names():
+    # The equations of `_` and `___1` have two supports each, so each gets
+    # a chain atom, and the program's own names are underscores and digits.
+    program = prog("_ :- not __0, not ___1.\n"
+                   "_ :- not ___0.\n"
+                   "__0 :- not ___0.\n"
+                   "___0 :- not __0.\n"
+                   "___1 :- not _.\n"
+                   "___1 :- not __0.\n")
+    theory = build_completion(program)
+    assert all(len(eq.supports) == 2 for eq in theory.equations
+               if program.atoms.name(eq.atom) in ("_", "___1"))
+    assert models_of_completion(theory) == brute_force_stable(program)
+    assert {model for model, _ in solve_stable(program)} == \
+        set(models_of_completion(theory))
 
 
 def test_dung_transform_worked_example():

@@ -6,6 +6,8 @@ from hypothesis import example, given, settings, strategies as st
 from guardres import (
     AtomTable,
     CnfTheory,
+    Equation,
+    all_interpretations,
     dpll_solve,
     enumerate_models,
     export_dimacs,
@@ -15,7 +17,7 @@ from guardres import (
 )
 from guardres.sat import _assign, _compile, clause_satisfied, equation_to_cnf, make_clause
 
-from corpus import example_program, random_cnf, truth_table_models
+from corpus import example_program, minimal_family, random_cnf, truth_table_models
 
 
 def _clause_name_sets(theory):
@@ -67,8 +69,49 @@ def test_subequation_to_cnf_shapes():
 
 
 def test_equation_to_cnf_self_guard_is_unsat():
-    theory = CnfTheory(AtomTable(["p"]), equation_to_cnf(0, (frozenset([0]),)))
+    theory = CnfTheory(AtomTable(["p"]), equation_to_cnf(0, (frozenset([0]),), 1))
     assert dpll_solve(theory) is None
+
+
+@st.composite
+def _antichain_equations(draw):
+    """An atom among 6 and an antichain of at most 5 guards over them."""
+    guards = draw(st.lists(st.frozensets(st.integers(0, 5), min_size=1), max_size=5))
+    return Equation(draw(st.integers(0, 5)), tuple(sorted(minimal_family(guards), key=sorted)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_antichain_equations())
+@example(Equation(0, ()))
+@example(Equation(0, (frozenset(),)))
+@example(Equation(0, (frozenset([0]), frozenset([1]))))
+def test_equation_to_cnf_chain_matches_equation(equation):
+    """Projected onto the 6 atoms, the chain encoding's models are the
+    interpretations where the equation holds, each extends to exactly one
+    chain assignment, and unit propagation alone fixes that chain."""
+    n = 6
+    supports = equation.supports
+    k = len(supports)
+    clauses = equation_to_cnf(equation.atom, supports, n)
+    if k:
+        assert len(clauses) == \
+            k + sum(len(s) + 2 for s in supports[:-1]) + len(supports[-1])
+    else:
+        assert len(clauses) == 1
+    assert all(make_clause(c) is not None for c in clauses)
+    theory = CnfTheory(AtomTable(f"x{i}" for i in range(n + max(k - 1, 0))), clauses)
+    full = truth_table_models(theory)
+    projected = {model & frozenset(range(n)) for model in full}
+    assert len(projected) == len(full)
+    assert projected == {m for m in all_interpretations(n) if equation.holds_in(m)}
+    compiled, falsified_by = _compile(theory)
+    for model in full:
+        values = [None] * len(theory.atoms)
+        trail = []
+        for atom in range(n):
+            if values[atom] is None:
+                assert _assign(atom, atom in model, compiled, falsified_by, values, trail)
+        assert values == [atom in model for atom in range(len(theory.atoms))]
 
 
 def _candidate_theory(program, chosen):

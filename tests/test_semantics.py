@@ -204,19 +204,17 @@ def test_is_tight_on_worked_example():
     assert set(ranks) == set(model)
 
 
-def test_is_tight_on_readings_agree_on_satisfied_self_loop():
+def test_is_tight_on_rejects_satisfied_self_loop():
     program = prog("p :- p.\np.")
     model = members_of(program, "p")
-    # The self-loop clause has a satisfied body, so both readings reject.
-    assert is_tight_on(program, model, restricted=True) is None
-    assert is_tight_on(program, model, restricted=False) is None
+    # The self-loop clause has a satisfied body, so no rank exists.
+    assert is_tight_on(program, model) is None
 
 
-def test_is_tight_on_readings_differ_on_unsatisfied_body():
+def test_is_tight_on_skips_unsatisfied_body():
     program = prog("p :- q.")
     model = members_of(program, "p")
-    assert is_tight_on(program, model, restricted=True) == {0: 0}
-    assert is_tight_on(program, model, restricted=False) is None
+    assert is_tight_on(program, model) == {0: 0}
 
 
 def test_is_tight_on_empty_interpretation():
