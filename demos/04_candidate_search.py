@@ -1,9 +1,9 @@
 """Two-tier search: candidate theories instead of one giant completion.
 
 The full equation theory can be exponentially large, so the solver
-commits per atom to a single *subequation* — either `-p` (absence) or
-`p <-> -S` for one support S — and asks a DPLL solver for models of the
-program clauses plus those commitments.  Any model of such a candidate
+commits per atom to a narrowed equation — `-p` (absence), or `p <-> -S`
+for one support S with its proof — and asks a DPLL solver for models of
+the program clauses plus those commitments.  Any model of such a candidate
 theory is stable, every stable model satisfies some candidate, and only
 one candidate plus one certificate is ever held at a time.
 """
@@ -34,12 +34,12 @@ def describe(candidate):
     parts = []
     for se in candidate.subequations:
         name = table.name(se.atom)
-        if se.guard is None:
+        if not se.supports:
             parts.append(f"-{name}")
-        elif not se.guard:
+        elif not se.supports[0]:
             parts.append(name)
         else:
-            parts.append(f"{name}<->-{fmt(se.guard)}")
+            parts.append(f"{name}<->-{fmt(se.supports[0])}")
     return ", ".join(parts)
 
 
@@ -50,11 +50,11 @@ print()
 
 print("walking two of them:")
 for candidate in candidates:
-    chosen = {table.name(se.atom): se.guard for se in candidate.subequations}
+    chosen = {table.name(se.atom): se.supports for se in candidate.subequations}
     interesting = (
-        chosen["t"] == frozenset()
-        and chosen["q"] == frozenset({table.id_of("s")})
-        and chosen["p"] in (None, frozenset({table.id_of("r")}))
+        chosen["t"] == (frozenset(),)
+        and chosen["q"] == (frozenset({table.id_of("s")}),)
+        and chosen["p"] in ((), (frozenset({table.id_of("r")}),))
     )
     if not interesting:
         continue

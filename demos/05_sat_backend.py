@@ -16,9 +16,8 @@ from guardres import (
     parse_dimacs,
     parse_program,
     program_to_cnf,
-    subequation_to_cnf,
 )
-from guardres.sat import CnfTheory
+from guardres.sat import CnfTheory, equation_to_cnf
 
 TEXT = """\
 p :- t, not q.
@@ -45,7 +44,8 @@ for clause in theory.clauses:
 print()
 
 print("a subequation `p <-> -r` expands to:")
-for clause in subequation_to_cnf(table.id_of("p"), frozenset([table.id_of("r")])):
+p, r = table.id_of("p"), table.id_of("r")
+for clause in equation_to_cnf(p, (frozenset([r]),), len(table)):
     print(f"  {clause_text(clause)}")
 print()
 

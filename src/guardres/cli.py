@@ -25,7 +25,7 @@ from .semantics import (
     is_tight,
     is_tight_on,
 )
-from .solver import candidate_theories, format_certificate, solve_stable
+from .solver import candidate_theory, format_certificate, solve_stable
 
 
 class _CliError(Exception):
@@ -201,13 +201,11 @@ def _cmd_to_dimacs(args: argparse.Namespace) -> int:
     else:
         if args.candidate < 0:
             raise _CliError("--candidate INDEX must be non-negative")
-        theory = None
-        for index, candidate in enumerate(candidate_theories(program)):
-            if index == args.candidate:
-                theory = candidate.to_cnf()
-                break
-        if theory is None:
-            raise _CliError(f"candidate index {args.candidate} is out of range")
+        try:
+            candidate = candidate_theory(program, args.candidate)
+        except IndexError:
+            raise _CliError(f"candidate index {args.candidate} is out of range") from None
+        theory = candidate.to_cnf()
     print(export_dimacs(theory), end="")
     return 0
 

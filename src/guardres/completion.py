@@ -10,6 +10,8 @@ subsumed.
 The models come from one SAT search over the equations' linear chain
 encoding (`sat.equation_to_cnf`); its auxiliary atoms follow the
 program's atoms and are projected away, with no limit on the atom count.
+A candidate theory (`solver.py`) narrows each equation to `-p`, `p.` or
+one disjunct `p <-> -S` with its proof; those are `Equation`s too.
 """
 
 from __future__ import annotations
@@ -31,16 +33,17 @@ class EquationShape(Enum):
 
 @dataclass(frozen=True)
 class Equation:
-    """Defining equation of one atom over its minimal-support antichain."""
+    """Defining equation of one atom; `proofs` verify its supports in order, or are `()`."""
 
     atom: int
     supports: tuple
+    proofs: tuple = ()
 
     @property
     def shape(self) -> EquationShape:
         if not self.supports:
             return EquationShape.NEGATIVE
-        if self.supports == (frozenset(),):
+        if not self.supports[0]:
             # The empty guard subsumes everything, so it is the whole antichain.
             return EquationShape.POSITIVE
         return EquationShape.EQUIV

@@ -190,9 +190,9 @@ class SupportTable:
     on sorted atom ids), sorted on the first request for that atom, so a
     query about one atom sorts one antichain.  The table keeps guards
     only; the verifying ProofTree of an entry is the first proof of its
-    guard in lazy-enumeration order, recovered on demand by `certificate`
-    (one entry) or `certificates` (every entry of an atom, in one
-    enumeration pass).
+    guard in lazy-enumeration order, recovered on demand by `certificates`
+    (every entry of an atom, in one enumeration pass); `certificate`
+    picks one entry from it.
     """
 
     def __init__(self, program: Program, antichains: dict):
@@ -229,16 +229,13 @@ class SupportTable:
             a for a in self._chains if self.has_admitted_support(a, members))
 
     def certificate(self, atom: int, guard: frozenset[int]) -> ProofTree:
-        """A verifying proof for a table entry, recovered by lazy enumeration."""
+        """The verifying proof `certificates` gives one table entry."""
         if guard not in self._chains.get(atom, ()):
             raise KeyError(f"{guard!r} is not a stored support of atom id {atom}")
-        for found, tree in enumerate_supports(self._program, atom):
-            if found == guard:
-                return tree
-        raise RuntimeError("stored support missing from lazy enumeration")
+        return self.certificates(atom)[guard]
 
     def certificates(self, atom: int) -> dict[frozenset[int], ProofTree]:
-        """Every entry of `atom` with the proof `certificate` would give it.
+        """Every entry of `atom` with its first proof in lazy enumeration.
 
         A single lazy-enumeration pass, stopped once every stored guard
         has been seen; the dict lists the guards in order of their first

@@ -7,8 +7,8 @@ backtracking on an explicit trail, with a fixed branching order (lowest
 unassigned atom id, false first) — so model orders are reproducible and
 golden tests stay byte-stable.  Enumeration is the same search continued
 past each model, with no blocking clauses and no restarts.  A defining
-equation is encoded linearly, through a chain of auxiliary atoms
-(`equation_to_cnf`).
+equation, or a candidate theory's narrowed one, is encoded linearly,
+through a chain of auxiliary atoms (`equation_to_cnf`).
 """
 
 from __future__ import annotations
@@ -66,32 +66,30 @@ def program_to_cnf(program: Program) -> CnfTheory:
     return CnfTheory.from_literals(program.atoms, clause_lists)
 
 
-def subequation_to_cnf(atom: int, guard: frozenset[int] | None) -> list[frozenset[Literal]]:
-    """Clauses for `-p` (guard None), `p` (empty guard), or `p <-> -S`."""
-    if guard is None:
-        return [frozenset([(atom, False)])]
-    if not guard:
-        return [frozenset([(atom, True)])]
-    clauses = [frozenset([(atom, False), (r, False)]) for r in sorted(guard)]
-    clauses.append(frozenset([(atom, True)] + [(r, True) for r in guard]))
-    return clauses
-
-
 def equation_to_cnf(atom: int, supports: tuple,
                     first_aux: int) -> list[frozenset[Literal]]:
     """Clauses for `p <-> (-S1 | -S2 | ... | -Sk)` over a support antichain.
 
-    With at most one support this is `subequation_to_cnf`.  Otherwise a
-    chain of auxiliary atoms, ids `first_aux .. first_aux + k - 2`, reads
-    `c_j <-> c_{j-1} & (S_j is hit)` with `c_0 = p`; `c_{k-1}` with `S_k`
-    hit is false, and `p | S_j` holds for every j.  That is linear in the
+    No support gives `-p`; one support S gives `-p | -r` per r in S, then
+    `p | S` (just `p` for the empty guard).  Otherwise a chain of
+    auxiliary atoms, ids `first_aux .. first_aux + k - 2`, reads `c_j <->
+    c_{j-1} & (S_j is hit)` with `c_0 = p`; `c_{k-1}` with `S_k` hit is
+    false, and `p | S_j` holds for every j.  That is linear in the
     antichain: k + sum_{j<k} (|S_j| + 2) + |S_k| clauses, none a
     tautology.  Once the atoms of `p` and of the guards are set, unit
     propagation fixes every `c_j`, so each model of the equation has
     exactly one extension to the chain.
     """
-    if len(supports) <= 1:
-        return subequation_to_cnf(atom, supports[0] if supports else None)
+    if not supports:
+        return [frozenset([(atom, False)])]
+    guard = supports[0]
+    if not guard:
+        # The empty guard subsumes everything, so it is the whole antichain.
+        return [frozenset([(atom, True)])]
+    if len(supports) == 1:
+        clauses = [frozenset([(atom, False), (r, False)]) for r in sorted(guard)]
+        clauses.append(frozenset([(atom, True)] + [(r, True) for r in guard]))
+        return clauses
     clauses = [frozenset([(atom, True)] + [(r, True) for r in support])
                for support in supports]
     previous = atom

@@ -1,16 +1,17 @@
 """Two-tier stable-model search: candidate theories over the DPLL backend.
 
-Per atom the search either asserts absence (`-p`) or commits to one
-support with its verifying proof (`p <-> -S`); the program clauses plus
-one such subequation per atom form a candidate theory.  Every
-propositional model of a candidate is a stable model, and every stable
-model satisfies some candidate, so iterating candidates and enumerating
-their models is a sound and complete solver.  The search is one
-sequential walk of the candidates in product order; it skips a candidate
-whose chosen guard meets an atom another choice forces true, because
-such a candidate only repeats models of an earlier one.  Time is
-exponential in the worst case; per-candidate state stays linear in the
-program plus the certificate being carried (see SolveStats).
+Per atom the search commits to a narrowed defining equation, a
+`completion.Equation` with at most one support: `-p`, `p.`, or one
+disjunct `p <-> -S` with its verifying proof.  The program clauses plus
+one such equation per atom form a candidate theory.  Every propositional
+model of a candidate is a stable model, and every stable model satisfies
+some candidate, so iterating candidates and enumerating their models is
+a sound and complete solver.  The search is one sequential walk of the
+candidates in product order; it skips a candidate whose chosen guard
+meets an atom another choice forces true, because such a candidate only
+repeats models of an earlier one.  Time is exponential in the worst
+case; per-candidate state stays linear in the program plus the
+certificate being carried (see SolveStats).
 """
 
 from __future__ import annotations
@@ -19,7 +20,8 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Iterator
 
-from .core import AtomTable, Program, format_interpretation
+from .completion import Equation, format_equation
+from .core import Program, format_interpretation
 from .guarded import (
     ProofError,
     ProofTree,
@@ -28,7 +30,7 @@ from .guarded import (
     saturate_supports,
     verify_proof,
 )
-from .sat import CnfTheory, enumerate_models, program_to_cnf, subequation_to_cnf
+from .sat import CnfTheory, enumerate_models, equation_to_cnf, program_to_cnf
 from .semantics import is_stable
 
 # Documented bound for the instrumented space check: the per-candidate
@@ -37,54 +39,44 @@ from .semantics import is_stable
 STATE_BOUND_FACTOR = 4
 
 
-@dataclass(frozen=True)
-class Subequation:
-    """Choice for one atom: absence (guard None) or one support with proof."""
-
-    atom: int
-    guard: frozenset[int] | None
-    proof: ProofTree | None = None
-
-    def cnf(self) -> list[frozenset]:
-        return subequation_to_cnf(self.atom, self.guard)
-
-
 def support_subequation(program: Program, atom: int, guard: frozenset[int],
-                        proof: ProofTree) -> Subequation:
-    """Certify the proof against the program before accepting the choice."""
+                        proof: ProofTree) -> Equation:
+    """`p <-> -S` for one support, once its proof is certified against the program."""
     root = verify_proof(proof, program)
     if root.atom != atom or root.guard != guard:
         raise ProofError(
             f"proof concludes atom id {root.atom} with guard {sorted(root.guard)}, "
             f"expected atom id {atom} with guard {sorted(guard)}")
-    return Subequation(atom, guard, proof)
+    return Equation(atom, (guard,), (proof,))
 
 
 @dataclass(frozen=True)
 class CandidateTheory:
-    """Program CNF plus exactly one subequation per atom, in id order."""
+    """Program CNF plus one narrowed equation per atom, in id order."""
 
     base: CnfTheory
     subequations: tuple
 
     def __post_init__(self):
-        expected = tuple(range(len(self.base.atoms)))
-        if tuple(se.atom for se in self.subequations) != expected:
-            raise ValueError("candidate needs exactly one subequation per atom, in order")
+        # An equation with two or more supports drops out, so the ids then differ.
+        narrowed = [se.atom for se in self.subequations if len(se.supports) < 2]
+        if narrowed != list(range(len(self.base.atoms))):
+            raise ValueError("candidate needs exactly one narrowed equation per atom, in order")
 
     def to_cnf(self) -> CnfTheory:
         clauses = list(self.base.clauses)
-        for subequation in self.subequations:
-            clauses.extend(subequation.cnf())
+        n = len(self.base.atoms)
+        for se in self.subequations:
+            clauses.extend(equation_to_cnf(se.atom, se.supports, n))
         return CnfTheory(self.base.atoms, clauses)
 
     def certificate_size(self) -> int:
-        """One unit per subequation, guard atom, and proof-tree node."""
+        """One unit per equation, guard atom, and proof-tree node."""
         total = 0
         for se in self.subequations:
-            total += 1 + len(se.guard or ())
-            if se.proof is not None:
-                total += se.proof.size()
+            total += 1 + sum(map(len, se.supports))
+            for proof in se.proofs:
+                total += proof.size()
         return total
 
 
@@ -109,6 +101,19 @@ class SolveStats:
     max_certificate_size: int = 0
 
 
+def _choices(program: Program) -> tuple[CnfTheory, list[list[Equation]]]:
+    """Program CNF, and per atom `-p` then each certified stored support."""
+    base = program_to_cnf(program)
+    table = saturate_supports(program)
+    choices = []
+    for atom in range(len(program.atoms)):
+        options = [Equation(atom, ())]
+        for guard, proof in table.certificates(atom).items():
+            options.append(support_subequation(program, atom, guard, proof))
+        choices.append(options)
+    return base, choices
+
+
 def candidate_theories(program: Program) -> Iterator[CandidateTheory]:
     """All candidate theories, lazily, in a fixed deterministic order.
 
@@ -118,16 +123,25 @@ def candidate_theories(program: Program) -> Iterator[CandidateTheory]:
     loses no stable model: an admitted support stays admitted after
     shrinking to a minimal one.
     """
-    base = program_to_cnf(program)
-    table = saturate_supports(program)
-    choices: list[list[Subequation]] = []
-    for atom in range(len(program.atoms)):
-        options = [Subequation(atom, None)]
-        for guard, proof in table.certificates(atom).items():
-            options.append(support_subequation(program, atom, guard, proof))
-        choices.append(options)
+    base, choices = _choices(program)
     for combo in product(*choices):
         yield CandidateTheory(base, combo)
+
+
+def candidate_theory(program: Program, index: int) -> CandidateTheory:
+    """Candidate `index` of `candidate_theories`, without walking the product.
+
+    The index is read in mixed radix, the highest atom id fastest; past
+    the product of (1 + stored supports) it raises IndexError.
+    """
+    base, choices = _choices(program)
+    combo, rest = [], index
+    for options in reversed(choices):
+        rest, digit = divmod(rest, len(options))
+        combo.append(options[digit])
+    if index < 0 or rest:
+        raise IndexError(f"candidate index {index} is out of range")
+    return CandidateTheory(base, tuple(reversed(combo)))
 
 
 def check_candidate(program: Program, candidate: CandidateTheory) -> list[frozenset[int]]:
@@ -151,9 +165,9 @@ def _prunable(candidate: CandidateTheory) -> bool:
     """
     forced_true = {
         se.atom for se in candidate.subequations
-        if se.guard is not None and not se.guard
+        if se.supports and not se.supports[0]
     }
-    return any(se.guard and (se.guard & forced_true) for se in candidate.subequations)
+    return any(se.supports and (se.supports[0] & forced_true) for se in candidate.subequations)
 
 
 def _account(stats: SolveStats | None, program: Program,
@@ -161,10 +175,11 @@ def _account(stats: SolveStats | None, program: Program,
     if stats is None:
         return
     stats.candidates_checked += 1
-    subeq_literals = sum(
-        len(c) for se in candidate.subequations for c in se.cnf())
+    n = len(program.atoms)
+    subeq_literals = sum(len(c) for se in candidate.subequations
+                         for c in equation_to_cnf(se.atom, se.supports, n))
     certificate = candidate.certificate_size()
-    state = subeq_literals + certificate + len(program.atoms)
+    state = subeq_literals + certificate + n
     stats.peak_candidate_state = max(stats.peak_candidate_state, state)
     stats.max_certificate_size = max(stats.max_certificate_size, certificate)
 
@@ -202,24 +217,14 @@ def solve_stable(program: Program, limit: int | None = None, *,
     return results
 
 
-def _subequation_text(subequation: Subequation, table: AtomTable) -> str:
-    name = table.name(subequation.atom)
-    if subequation.guard is None:
-        return f"-{name}."
-    if not subequation.guard:
-        return f"{name}."
-    negated = " & ".join(f"-{table.name(a)}" for a in sorted(subequation.guard))
-    return f"{name} <-> {negated}"
-
-
 def format_certificate(program: Program, model: frozenset[int],
                        candidate: CandidateTheory) -> str:
-    """Per-model block: chosen subequations, proofs under positive choices."""
+    """Per-model block: the chosen equations, each proof under its choice."""
     table = program.atoms
     lines = [f"model {format_interpretation(table, model)}"]
-    for subequation in candidate.subequations:
-        lines.append("  " + _subequation_text(subequation, table))
-        if subequation.proof is not None:
-            for line in format_proof(subequation.proof, table).splitlines():
+    for equation in candidate.subequations:
+        lines.append("  " + format_equation(equation, table))
+        for proof in equation.proofs:
+            for line in format_proof(proof, table).splitlines():
                 lines.append("    " + line)
     return "".join(line + "\n" for line in lines)

@@ -7,6 +7,7 @@ every run.
 
 import random
 from contextlib import contextmanager
+from itertools import islice
 
 import pytest
 
@@ -18,6 +19,7 @@ from guardres import (
     brute_force_stable,
     build_completion,
     candidate_theories,
+    candidate_theory,
     check_candidate,
     compute_levels,
     dpll_solve,
@@ -43,6 +45,7 @@ from guardres.solver import STATE_BOUND_FACTOR
 
 from corpus import (
     EXAMPLE_TEXT,
+    candidate_key,
     check_guarded_layer,
     example_program,
     members_of,
@@ -108,15 +111,15 @@ def test_criterion_01_worked_example(tmp_path, capsys):
         by_choice = {}
         for candidate in candidate_theories(program):
             chosen = {
-                name(se.atom): se.guard for se in candidate.subequations
+                name(se.atom): se.supports for se in candidate.subequations
             }
-            if chosen[name(program.atoms.id_of("q"))] != members_of(program, "s"):
+            if chosen[name(program.atoms.id_of("q"))] != (members_of(program, "s"),):
                 continue
-            if chosen["t"] != frozenset():
+            if chosen["t"] != (frozenset(),):
                 continue
             by_choice[chosen["p"]] = candidate
-        unsat_candidate = by_choice[None]
-        sat_candidate = by_choice[members_of(program, "r")]
+        unsat_candidate = by_choice[()]
+        sat_candidate = by_choice[(members_of(program, "r"),)]
         assert dpll_solve(unsat_candidate.to_cnf()) is None
         assert check_candidate(program, sat_candidate) == [model]
 
@@ -184,6 +187,22 @@ def test_criterion_04_certificates_match_unpruned_reference(corpus):
                     for model, candidate in solve_stable(program, limit)] == expected
 
 
+def test_candidate_theory_indexes_the_product(corpus):
+    """Decoding an index gives the product's candidate at that index, and
+    the product's size is exactly where IndexError starts."""
+    checked = 0
+    for program in corpus:
+        candidates = list(islice(candidate_theories(program), 201))
+        if len(candidates) > 200:
+            continue
+        for index, expected in enumerate(candidates):
+            assert candidate_key(candidate_theory(program, index)) == candidate_key(expected)
+        with pytest.raises(IndexError):
+            candidate_theory(program, len(candidates))
+        checked += 1
+    assert checked > 0
+
+
 def test_criterion_05_stability_iff_levels(corpus):
     with criterion(5, "stability equals having levels"):
         for program in corpus:
@@ -238,9 +257,9 @@ def test_criterion_09_proof_certificates_reverify(corpus):
                     checked += 1
             for _, candidate in solve_stable(program):
                 for se in candidate.subequations:
-                    if se.proof is not None:
-                        assert verify_proof(se.proof, program) == \
-                            GuardedAtom(se.atom, se.guard)
+                    for guard, proof in zip(se.supports, se.proofs):
+                        assert verify_proof(proof, program) == \
+                            GuardedAtom(se.atom, guard)
                         checked += 1
         assert checked > 0
 

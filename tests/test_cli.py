@@ -1,5 +1,6 @@
 import io
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -81,6 +82,26 @@ def test_solve_certs_block(example_file, capsys):
     assert "  p <-> -r" in out
     assert "    0| p : {r}" in out
     assert "  -s." in out
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+# Two stable models; p has the supports {a, c} and {b, c}, so the blocks
+# show `p <-> -a & -c`, `-c.`, `t.` and proofs nested two levels deep.
+TWO_MODELS_TEXT = (
+    "a :- not b.\nb :- not a.\nt.\nq :- t, not c.\n"
+    "p :- q, not a.\np :- not b, not c.\n")
+
+
+@pytest.mark.parametrize("text, golden", [
+    (EXAMPLE_TEXT, "example_certs.txt"),
+    (TWO_MODELS_TEXT, "two_models_certs.txt"),
+], ids=["example", "two-models"])
+def test_solve_certs_golden(tmp_path, capsys, text, golden):
+    path = tmp_path / "program.lp"
+    path.write_text(text)
+    assert run(["solve", str(path), "--certs"]) == 0
+    assert capsys.readouterr().out == (GOLDEN / golden).read_text()
 
 
 def test_solve_certs_requires_candidate_engine(example_file, capsys):
@@ -315,6 +336,27 @@ _PROGRAM_CLAUSES = "1 -2 3 0\n1 4 0\n3 5 0\n2 0\n"
 def test_to_dimacs_candidate_golden(example_file, capsys, index, expected):
     assert run(["to-dimacs", example_file, "--candidate", index]) == 0
     assert capsys.readouterr().out == expected
+
+
+def _choice_pairs_text(pairs):
+    return "".join(f"a{i} :- not b{i}.\nb{i} :- not a{i}.\n" for i in range(pairs))
+
+
+def test_to_dimacs_candidate_decodes_index_of_large_product(tmp_path, capsys):
+    # 11 choice pairs: every atom has one support, so 2^22 candidates.
+    path = tmp_path / "pairs.lp"
+    path.write_text(_choice_pairs_text(11))
+    assert run(["to-dimacs", str(path), "--candidate", str(2 ** 22 - 1)]) == 0
+    names = "".join(f"c {2 * i + 1} a{i}\nc {2 * i + 2} b{i}\n" for i in range(11))
+    # The last candidate picks `a <-> -b` and `b <-> -a` everywhere: one new
+    # clause `-a | -b` per pair after the program's `a | b`.
+    pairs = "".join(f"{2 * i + 1} {2 * i + 2} 0\n" for i in range(11))
+    exclusions = "".join(f"-{2 * i + 1} -{2 * i + 2} 0\n" for i in range(11))
+    assert capsys.readouterr().out == names + "p cnf 22 22\n" + pairs + exclusions
+    assert run(["to-dimacs", str(path), "--candidate", str(2 ** 22)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: candidate index {2 ** 22} is out of range\n"
 
 
 def test_help_exits_zero(capsys):

@@ -1,0 +1,28 @@
+"""The package's export list matches what `guardres/__init__.py` imports."""
+
+import ast
+from pathlib import Path
+
+import guardres
+
+
+def _imported_public_names():
+    tree = ast.parse(Path(guardres.__file__).read_text(encoding="utf-8"))
+    return {
+        alias.asname or alias.name
+        for node in tree.body if isinstance(node, ast.ImportFrom) and node.level == 1
+        for alias in node.names if not (alias.asname or alias.name).startswith("_")
+    }
+
+
+def test_every_export_imports():
+    for name in guardres.__all__:
+        namespace = {}
+        exec(f"from guardres import {name}", namespace)
+        assert namespace[name] is getattr(guardres, name)
+
+
+def test_every_imported_public_name_is_exported():
+    imported = _imported_public_names()
+    assert imported
+    assert imported <= set(guardres.__all__)

@@ -13,7 +13,6 @@ from guardres import (
     export_dimacs,
     parse_dimacs,
     program_to_cnf,
-    subequation_to_cnf,
 )
 from guardres.sat import _assign, _compile, clause_satisfied, equation_to_cnf, make_clause
 
@@ -53,18 +52,18 @@ def test_theory_dedups_clauses():
     assert len(theory.clauses) == 1
 
 
-def test_subequation_to_cnf_shapes():
+def test_equation_to_cnf_narrowed_shapes():
     # -p
-    negative = subequation_to_cnf(0, None)
+    negative = equation_to_cnf(0, (), 2)
     assert [set(c) for c in negative] == [{(0, False)}]
     # p <-> -{r}: two clauses
-    biconditional = subequation_to_cnf(0, frozenset([1]))
+    biconditional = equation_to_cnf(0, (frozenset([1]),), 2)
     assert set(biconditional) == {
         frozenset({(0, False), (1, False)}),
         frozenset({(0, True), (1, True)}),
     }
     # p <-> -{} is just p
-    positive = subequation_to_cnf(0, frozenset())
+    positive = equation_to_cnf(0, (frozenset(),), 2)
     assert [set(c) for c in positive] == [{(0, True)}]
 
 
@@ -119,9 +118,9 @@ def _candidate_theory(program, chosen):
     clauses = list(program_to_cnf(program).clauses)
     for name, guard_names in chosen.items():
         atom = program.atoms.id_of(name)
-        guard = None if guard_names is None else frozenset(
-            program.atoms.id_of(g) for g in guard_names)
-        clauses.extend(subequation_to_cnf(atom, guard))
+        supports = () if guard_names is None else (frozenset(
+            program.atoms.id_of(g) for g in guard_names),)
+        clauses.extend(equation_to_cnf(atom, supports, len(program.atoms)))
     return CnfTheory(program.atoms, clauses)
 
 

@@ -5,6 +5,8 @@ from hypothesis import given, settings
 
 from guardres import (
     AtomTable,
+    CandidateTheory,
+    Equation,
     GuardedAtom,
     Program,
     ProofError,
@@ -13,15 +15,18 @@ from guardres import (
     brute_force_stable,
     build_completion,
     candidate_theories,
+    candidate_theory,
     check_candidate,
     format_certificate,
     models_of_completion,
+    saturate_supports,
     solve_stable,
     verify_proof,
 )
 from guardres.solver import STATE_BOUND_FACTOR, support_subequation
 
 from corpus import (
+    candidate_key,
     example_program,
     members_of,
     names_of,
@@ -35,8 +40,8 @@ def _choice_names(program, candidate):
     name = program.atoms.name
     chosen = {}
     for se in candidate.subequations:
-        chosen[name(se.atom)] = (None if se.guard is None
-                                 else frozenset(name(a) for a in se.guard))
+        chosen[name(se.atom)] = (None if not se.supports
+                                 else frozenset(name(a) for a in se.supports[0]))
     return chosen
 
 
@@ -47,7 +52,7 @@ def test_candidate_counts_worked_example():
     per_atom = {}
     for candidate in candidates:
         for se in candidate.subequations:
-            per_atom.setdefault(se.atom, set()).add(se.guard)
+            per_atom.setdefault(se.atom, set()).add(se.supports)
     name = program.atoms.name
     counts = {name(a): len(guards) for a, guards in per_atom.items()}
     assert counts == {"p": 3, "q": 2, "t": 2, "r": 1, "s": 1}
@@ -56,17 +61,38 @@ def test_candidate_counts_worked_example():
 def test_candidate_choices_negative_first_then_enumeration_order():
     program = example_program()
     first = next(iter(candidate_theories(program)))
-    assert all(se.guard is None for se in first.subequations
+    assert all(not se.supports for se in first.subequations
                if program.atoms.name(se.atom) in ("p", "q"))
     p = program.atoms.id_of("p")
     orders = []
     for candidate in candidate_theories(program):
-        guard = candidate.subequations[p].guard
-        if guard not in orders:
-            orders.append(guard)
-    assert [None if g is None else names_of(program, g) for g in orders] == [
+        supports = candidate.subequations[p].supports
+        if supports not in orders:
+            orders.append(supports)
+    assert [None if not s else names_of(program, s[0]) for s in orders] == [
         None, {"q"}, {"r"},
     ]
+
+
+def test_candidate_theory_decodes_index_worked_example():
+    program = example_program()
+    candidates = list(candidate_theories(program))
+    for index, expected in enumerate(candidates):
+        assert candidate_key(candidate_theory(program, index)) == candidate_key(expected)
+    for index in (len(candidates), -1):
+        with pytest.raises(IndexError):
+            candidate_theory(program, index)
+
+
+def test_candidate_rejects_multi_support_equation():
+    program = example_program()
+    first = candidate_theory(program, 0)
+    p = program.atoms.id_of("p")
+    table = saturate_supports(program)
+    subequations = list(first.subequations)
+    subequations[p] = Equation(p, table.supports(p))
+    with pytest.raises(ValueError):
+        CandidateTheory(first.base, tuple(subequations))
 
 
 def test_candidates_single_fact():
@@ -116,8 +142,8 @@ def test_solve_worked_example_certificate():
     assert "p <-> -r" in text
     assert "q <-> -s" in text
     for se in candidate.subequations:
-        if se.proof is not None:
-            assert verify_proof(se.proof, program) == GuardedAtom(se.atom, se.guard)
+        for guard, proof in zip(se.supports, se.proofs):
+            assert verify_proof(proof, program) == GuardedAtom(se.atom, guard)
 
 
 def test_solve_two_stable_models():
