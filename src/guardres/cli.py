@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import Sequence
+from collections.abc import Sequence
 
 from .completion import build_completion, dung_transform, models_of_completion
 from .core import Program, ResourceLimitError, format_interpretation

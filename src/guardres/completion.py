@@ -16,10 +16,9 @@ one disjunct `p <-> -S` with its proof; those are `Equation`s too.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 
-from .core import AtomTable, Clause, Program, interpretation_key
+from .core import AtomTable, Clause, Program, Record, interpretation_key, set_field
 from .guarded import saturate_supports
 from .sat import CnfTheory, enumerate_models, equation_to_cnf
 from .semantics import brute_force_stable
@@ -31,13 +30,15 @@ class EquationShape(Enum):
     EQUIV = "equiv"
 
 
-@dataclass(frozen=True)
-class Equation:
+class Equation(Record):
     """Defining equation of one atom; `proofs` verify its supports in order, or are `()`."""
 
-    atom: int
-    supports: tuple
-    proofs: tuple = ()
+    __slots__ = ("atom", "supports", "proofs")
+
+    def __init__(self, atom: int, supports: tuple, proofs: tuple = ()):
+        set_field(self, "atom", atom)
+        set_field(self, "supports", supports)
+        set_field(self, "proofs", proofs)
 
     @property
     def shape(self) -> EquationShape:
@@ -68,12 +69,14 @@ def format_equation(equation: Equation, table: AtomTable) -> str:
     return f"{name} <-> " + " | ".join(disjuncts)
 
 
-@dataclass(frozen=True)
-class CompletionTheory:
+class CompletionTheory(Record):
     """One equation per atom of the program, in atom-id order."""
 
-    program: Program
-    equations: tuple
+    __slots__ = ("program", "equations")
+
+    def __init__(self, program: Program, equations: tuple):
+        set_field(self, "program", program)
+        set_field(self, "equations", equations)
 
     def format(self) -> str:
         table = self.program.atoms

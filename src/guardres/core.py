@@ -8,14 +8,50 @@ those ids and goes through the atom table only to read or print names.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from typing import Iterable, Iterator
+from collections.abc import Iterable, Iterator
 
 _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 
 
 class ResourceLimitError(RuntimeError):
     """A configurable work limit (enumeration cap, support cap) was hit."""
+
+
+set_field = object.__setattr__  # how a record's `__init__` sets each field, once
+
+
+class Record:
+    """Immutable value record over `__slots__`.
+
+    Within one type, records are equal when the fields named by `_key` (all
+    by default) are, and hash by their tuple.  `__eq__` and `__hash__` are
+    compiled per class, as a dataclass's are, unless the class defines them.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        mine = "".join(f"self.{name}, " for name in cls.__dict__.get("_key", cls.__slots__))
+        theirs = mine.replace("self.", "other.")
+        namespace: dict = {}
+        exec(f"def __eq__(self, other):\n"
+             f"    if other.__class__ is self.__class__: return ({mine}) == ({theirs})\n"
+             f"    return NotImplemented\n"
+             f"def __hash__(self): return hash(({mine}))\n", namespace)
+        cls.__eq__ = cls.__dict__.get("__eq__", namespace["__eq__"])
+        cls.__hash__ = cls.__dict__.get("__hash__", namespace["__hash__"])
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value: object = None) -> None:
+        raise AttributeError(f"cannot assign to or delete field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, name) for name in self.__slots__)
 
 
 class AtomTable:
@@ -68,13 +104,15 @@ class AtomTable:
 Interpretation = frozenset
 
 
-@dataclass(frozen=True, slots=True)
-class Clause:
+class Clause(Record):
     """`head :- posBody, not negBody`; the two bodies may overlap."""
 
-    head: int
-    pos_body: frozenset[int]
-    neg_body: frozenset[int]
+    __slots__ = ("head", "pos_body", "neg_body")
+
+    def __init__(self, head: int, pos_body: frozenset[int], neg_body: frozenset[int]):
+        set_field(self, "head", head)
+        set_field(self, "pos_body", pos_body)
+        set_field(self, "neg_body", neg_body)
 
 
 class Program:

@@ -19,11 +19,10 @@ chains thousands of levels deep stay in reach.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from collections.abc import Callable, Iterator
 from itertools import product
-from typing import Callable, Iterator
 
-from .core import AtomTable, Clause, Program, ResourceLimitError
+from .core import AtomTable, Clause, Program, Record, ResourceLimitError, set_field
 
 DEFAULT_SUPPORT_CAP = 10_000
 
@@ -32,17 +31,21 @@ class ProofError(ValueError):
     """A proof tree failed verification."""
 
 
-@dataclass(frozen=True, slots=True)
-class GuardedAtom:
-    atom: int
-    guard: frozenset[int]
+class GuardedAtom(Record):
+    __slots__ = ("atom", "guard")
+
+    def __init__(self, atom: int, guard: frozenset[int]):
+        set_field(self, "atom", atom)
+        set_field(self, "guard", guard)
 
 
-@dataclass(frozen=True, slots=True)
-class GuardedClause:
-    head: int
-    body: frozenset[int]
-    guard: frozenset[int]
+class GuardedClause(Record):
+    __slots__ = ("head", "body", "guard")
+
+    def __init__(self, head: int, body: frozenset[int], guard: frozenset[int]):
+        set_field(self, "head", head)
+        set_field(self, "body", body)
+        set_field(self, "guard", guard)
 
     def as_atom(self) -> GuardedAtom:
         if self.body:
@@ -74,8 +77,7 @@ def admits(members: frozenset[int], ga: GuardedAtom) -> bool:
     return not (members & ga.guard)
 
 
-@dataclass(frozen=True, eq=False, repr=False, slots=True)
-class ProofTree:
+class ProofTree(Record):
     """Derivation tree: leaves from the program, inner nodes from resolution.
 
     An inner node has a clause parent and an atom parent and is labeled
@@ -86,9 +88,13 @@ class ProofTree:
     shape and labels; equality and hashing walk the nodes iteratively.
     """
 
-    label: GuardedClause | GuardedAtom
-    clause_parent: "ProofTree | None" = None
-    atom_parent: "ProofTree | None" = None
+    __slots__ = ("label", "clause_parent", "atom_parent")
+
+    def __init__(self, label: GuardedClause | GuardedAtom,
+                 clause_parent: ProofTree | None = None, atom_parent: ProofTree | None = None):
+        set_field(self, "label", label)
+        set_field(self, "clause_parent", clause_parent)
+        set_field(self, "atom_parent", atom_parent)
 
     @property
     def is_leaf(self) -> bool:

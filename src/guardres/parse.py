@@ -28,17 +28,18 @@ advances the column.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
-from .core import AtomTable, Clause, Program
+from .core import AtomTable, Clause, Program, Record, set_field
 
 
-@dataclass(frozen=True)
-class SourceSpan:
+class SourceSpan(Record):
     """1-based line/column of the token a parse error points at."""
 
-    line: int
-    column: int
+    __slots__ = ("line", "column")
+
+    def __init__(self, line: int, column: int):
+        set_field(self, "line", line)
+        set_field(self, "column", column)
 
     def __str__(self) -> str:
         return f"line {self.line}, column {self.column}"

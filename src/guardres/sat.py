@@ -13,7 +13,7 @@ through a chain of auxiliary atoms (`equation_to_cnf`).
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Mapping
+from collections.abc import Iterable, Iterator, Mapping
 
 from .core import AtomTable, Program, interpretation_key
 

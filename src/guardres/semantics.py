@@ -10,32 +10,37 @@ and rank functions certify stability (levels) or syntactic acyclicity
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass
 
 from .core import (
     AtomTable,
     Program,
+    Record,
     ResourceLimitError,
     all_interpretations,
     satisfies_program,
+    set_field,
 )
 
 # Partial map atom id -> natural number.
 RankFunction = dict
 
 
-@dataclass(frozen=True)
-class HornClause:
-    head: int
-    body: frozenset[int]
+class HornClause(Record):
+    __slots__ = ("head", "body")
+
+    def __init__(self, head: int, body: frozenset[int]):
+        set_field(self, "head", head)
+        set_field(self, "body", body)
 
 
-@dataclass(frozen=True)
-class HornProgram:
+class HornProgram(Record):
     """Definite clauses only; what survives a reduct."""
 
-    atoms: AtomTable
-    clauses: tuple[HornClause, ...]
+    __slots__ = ("atoms", "clauses")
+
+    def __init__(self, atoms: AtomTable, clauses: tuple[HornClause, ...]):
+        set_field(self, "atoms", atoms)
+        set_field(self, "clauses", clauses)
 
 
 def gl_reduct(program: Program, members: frozenset[int]) -> HornProgram:

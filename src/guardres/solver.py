@@ -16,12 +16,11 @@ certificate being carried (see SolveStats).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Iterator
 from itertools import product
-from typing import Iterator
 
 from .completion import Equation, format_equation
-from .core import Program, format_interpretation
+from .core import Program, Record, format_interpretation, set_field
 from .guarded import (
     ProofError,
     ProofTree,
@@ -50,18 +49,19 @@ def support_subequation(program: Program, atom: int, guard: frozenset[int],
     return Equation(atom, (guard,), (proof,))
 
 
-@dataclass(frozen=True)
-class CandidateTheory:
-    """Program CNF plus one narrowed equation per atom, in id order."""
+class CandidateTheory(Record):
+    """Program CNF plus one narrowed equation per atom, in id order; equal by content."""
 
-    base: CnfTheory
-    subequations: tuple
+    __slots__ = ("base", "subequations")
+    _key = ("subequations", "base.clauses")
 
-    def __post_init__(self):
+    def __init__(self, base: CnfTheory, subequations: tuple):
         # An equation with two or more supports drops out, so the ids then differ.
-        narrowed = [se.atom for se in self.subequations if len(se.supports) < 2]
-        if narrowed != list(range(len(self.base.atoms))):
+        narrowed = [se.atom for se in subequations if len(se.supports) < 2]
+        if narrowed != list(range(len(base.atoms))):
             raise ValueError("candidate needs exactly one narrowed equation per atom, in order")
+        set_field(self, "base", base)
+        set_field(self, "subequations", subequations)
 
     def to_cnf(self) -> CnfTheory:
         clauses = list(self.base.clauses)
@@ -80,8 +80,7 @@ class CandidateTheory:
         return total
 
 
-@dataclass
-class SolveStats:
+class SolveStats(Record):
     """Instrumented per-candidate space accounting.
 
     `peak_candidate_state` counts, for the costliest candidate processed:
@@ -94,11 +93,19 @@ class SolveStats:
     left after pruning, that is, those whose models were enumerated.
     """
 
-    program_size: int = 0
-    candidates_checked: int = 0
-    models_emitted: int = 0
-    peak_candidate_state: int = 0
-    max_certificate_size: int = 0
+    __slots__ = ("program_size", "candidates_checked", "models_emitted",
+                 "peak_candidate_state", "max_certificate_size")
+    __setattr__ = object.__setattr__  # the counters change in place,
+    __delattr__ = object.__delattr__  # so the record is mutable
+    __hash__ = None                   # and unhashable
+
+    def __init__(self, program_size=0, candidates_checked=0, models_emitted=0,
+                 peak_candidate_state=0, max_certificate_size=0):
+        self.program_size = program_size
+        self.candidates_checked = candidates_checked
+        self.models_emitted = models_emitted
+        self.peak_candidate_state = peak_candidate_state
+        self.max_certificate_size = max_certificate_size
 
 
 def _choices(program: Program) -> tuple[CnfTheory, list[list[Equation]]]:

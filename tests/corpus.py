@@ -472,11 +472,6 @@ def check_guarded_layer(program: Program, stream_cap: int | None = None) -> None
             assert proofs[guard] == table.certificate(atom, guard)
 
 
-def candidate_key(candidate) -> tuple:
-    """What two equal candidate theories share: equations and base clauses."""
-    return candidate.subequations, candidate.base.clauses
-
-
 def reference_solve_stable(program: Program, limit: int | None = None) -> list:
     """Every candidate in product order, unpruned; each model with its first candidate."""
     if limit is not None and limit <= 0:

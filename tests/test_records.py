@@ -1,0 +1,179 @@
+"""Value semantics of the package's records: equality, hashing, repr, immutability.
+
+Each record compares equal only to a record of the same type with the
+same fields, hashes by those fields, prints as `Type(field=value, ...)`
+and refuses assignment; `SolveStats` is the one mutable record.
+"""
+
+import copy
+import pickle
+
+import pytest
+
+from guardres import (
+    AtomTable,
+    CandidateTheory,
+    Clause,
+    CompletionTheory,
+    Equation,
+    GuardedAtom,
+    GuardedClause,
+    HornClause,
+    HornProgram,
+    Program,
+    ProofError,
+    ProofTree,
+    SolveStats,
+    SourceSpan,
+    build_completion,
+    candidate_theories,
+    candidate_theory,
+    gl_reduct,
+    verify_proof,
+)
+
+from corpus import example_program
+
+
+def _records():
+    """Per record type: its fields, two equal builds, an unequal one, and the repr."""
+    program = example_program()
+    first = next(candidate_theories(program))
+    a, b = frozenset([1]), frozenset([2])
+    leaf = GuardedAtom(3, frozenset())
+    reduct = gl_reduct(program, frozenset())
+    completion = build_completion(program)
+    return [
+        (("head", "pos_body", "neg_body"), lambda: Clause(0, a, b), Clause(0, b, a),
+         "Clause(head=0, pos_body=frozenset({1}), neg_body=frozenset({2}))"),
+        (("atom", "guard"), lambda: GuardedAtom(0, a), GuardedAtom(0, b),
+         "GuardedAtom(atom=0, guard=frozenset({1}))"),
+        (("head", "body", "guard"), lambda: GuardedClause(0, a, b), GuardedClause(0, b, a),
+         "GuardedClause(head=0, body=frozenset({1}), guard=frozenset({2}))"),
+        (("label", "clause_parent", "atom_parent"),
+         lambda: ProofTree(GuardedAtom(0, a), atom_parent=ProofTree(leaf)),
+         ProofTree(GuardedAtom(0, a)),
+         "ProofTree(GuardedAtom(atom=0, guard=frozenset({1})), size=2)"),
+        (("line", "column"), lambda: SourceSpan(1, 2), SourceSpan(2, 1),
+         "SourceSpan(line=1, column=2)"),
+        (("head", "body"), lambda: HornClause(0, a), HornClause(0, b),
+         "HornClause(head=0, body=frozenset({1}))"),
+        (("atoms", "clauses"), lambda: HornProgram(program.atoms, reduct.clauses),
+         HornProgram(program.atoms, reduct.clauses[1:]),
+         f"HornProgram(atoms={program.atoms!r}, clauses={reduct.clauses!r})"),
+        (("atom", "supports", "proofs"), lambda: Equation(0, (a,), (ProofTree(leaf),)),
+         Equation(0, (a,)),
+         "Equation(atom=0, supports=(frozenset({1}),), proofs=(ProofTree("
+         "GuardedAtom(atom=3, guard=frozenset()), size=1),))"),
+        (("program", "equations"), lambda: CompletionTheory(program, completion.equations),
+         CompletionTheory(program, completion.equations[1:]),
+         f"CompletionTheory(program={program!r}, equations={completion.equations!r})"),
+        (("base", "subequations"), lambda: CandidateTheory(first.base, first.subequations),
+         candidate_theory(program, 1),
+         f"CandidateTheory(base={first.base!r}, subequations={first.subequations!r})"),
+    ]
+
+
+RECORDS = _records()
+IDS = [expected.split("(", 1)[0] for *_, expected in RECORDS]
+
+
+def _only(*names):
+    return [pytest.param(*record, id=name)
+            for record, name in zip(RECORDS, IDS) if name in names]
+
+
+@pytest.mark.parametrize("fields, build, other, expected", RECORDS, ids=IDS)
+def test_record_equality_and_hash(fields, build, other, expected):
+    one, two = build(), build()
+    assert one is not two
+    assert one == two and not one != two
+    assert hash(one) == hash(two)
+    assert one != other and other != one
+    assert one != tuple(getattr(one, name) for name in fields)
+    assert len({one, two, other}) == 2
+
+
+# ProofTree hashes by shape and CandidateTheory by content, not by their fields.
+@pytest.mark.parametrize("fields, build, other, expected", _only(
+    "Clause", "GuardedAtom", "GuardedClause", "SourceSpan", "HornClause", "HornProgram",
+    "Equation", "CompletionTheory"))
+def test_record_hash_is_the_field_tuple_hash(fields, build, other, expected):
+    # So a set of records iterates in the same order as it always has.
+    record = build()
+    assert hash(record) == hash(tuple(getattr(record, name) for name in fields))
+
+
+@pytest.mark.parametrize("fields, build, other, expected", RECORDS, ids=IDS)
+def test_record_repr_is_dataclass_style(fields, build, other, expected):
+    assert repr(build()) == expected
+
+
+@pytest.mark.parametrize("fields, build, other, expected", RECORDS, ids=IDS)
+def test_record_fields_are_read_only(fields, build, other, expected):
+    record = build()
+    for name in fields:
+        value = getattr(record, name)
+        with pytest.raises(AttributeError):
+            setattr(record, name, value)
+        with pytest.raises(AttributeError):
+            delattr(record, name)
+        assert getattr(record, name) is value
+
+
+# Records holding an AtomTable, Program or CnfTheory compare those by identity.
+@pytest.mark.parametrize("fields, build, other, expected", _only(
+    "Clause", "GuardedAtom", "GuardedClause", "ProofTree", "SourceSpan", "HornClause",
+    "Equation"))
+def test_record_copy_and_pickle_round_trip(fields, build, other, expected):
+    record = build()
+    assert copy.copy(record) == record
+    assert copy.deepcopy(record) == record
+    assert pickle.loads(pickle.dumps(record)) == record
+
+
+def test_same_fields_different_type_are_unequal():
+    h, b, g = 0, frozenset([1]), frozenset([2])
+    assert Clause(h, b, g) != GuardedClause(h, b, g)
+    assert GuardedClause(h, b, g) != Clause(h, b, g)
+    assert GuardedAtom(h, b) != HornClause(h, b)
+    assert HornClause(h, b) != GuardedAtom(h, b)
+    assert SourceSpan(1, 2) != (1, 2)
+
+
+def test_solve_stats_is_mutable_and_unhashable():
+    stats = SolveStats()
+    assert repr(stats) == ("SolveStats(program_size=0, candidates_checked=0, "
+                           "models_emitted=0, peak_candidate_state=0, "
+                           "max_certificate_size=0)")
+    assert stats == SolveStats()
+    stats.candidates_checked += 2
+    assert stats.candidates_checked == 2
+    assert stats != SolveStats() and stats == SolveStats(candidates_checked=2)
+    assert SolveStats(1, 2, 3, 4, 5) == SolveStats(
+        program_size=1, candidates_checked=2, models_emitted=3,
+        peak_candidate_state=4, max_certificate_size=5)
+    with pytest.raises(TypeError):
+        hash(stats)
+
+
+def test_bad_leaf_message_embeds_label_repr():
+    program = example_program()
+    p = program.atoms.id_of("p")
+    with pytest.raises(ProofError) as caught:
+        verify_proof(ProofTree(GuardedAtom(p, frozenset([4]))), program)
+    assert str(caught.value) == (
+        "leaf GuardedAtom(atom=0, guard=frozenset({4})) "
+        "is not the image of a purely negative clause")
+    clause = GuardedClause(p, frozenset([4]), frozenset())
+    with pytest.raises(ProofError) as caught:
+        verify_proof(ProofTree(clause), program)
+    assert str(caught.value) == (
+        "leaf GuardedClause(head=0, body=frozenset({4}), guard=frozenset()) "
+        "is not the image of a program clause")
+
+
+def test_program_dedupes_equal_clauses():
+    table = AtomTable(["a", "b"])
+    clauses = [Clause(0, frozenset(), frozenset([1])) for _ in range(3)]
+    assert Program(table, clauses).clauses == (clauses[0],)

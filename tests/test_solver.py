@@ -26,7 +26,6 @@ from guardres import (
 from guardres.solver import STATE_BOUND_FACTOR, support_subequation
 
 from corpus import (
-    candidate_key,
     example_program,
     members_of,
     names_of,
@@ -78,10 +77,21 @@ def test_candidate_theory_decodes_index_worked_example():
     program = example_program()
     candidates = list(candidate_theories(program))
     for index, expected in enumerate(candidates):
-        assert candidate_key(candidate_theory(program, index)) == candidate_key(expected)
+        assert candidate_theory(program, index) == expected
     for index in (len(candidates), -1):
         with pytest.raises(IndexError):
             candidate_theory(program, index)
+
+
+def test_candidate_equality_ignores_the_base_object():
+    program = example_program()
+    decoded, walked = candidate_theory(program, 0), next(candidate_theories(program))
+    assert decoded.base is not walked.base
+    assert decoded == walked and hash(decoded) == hash(walked)
+    assert candidate_theory(program, 1) != candidate_theory(program, 2)
+    candidates = list(candidate_theories(program))
+    assert len(set(candidates)) == len(candidates)
+    assert set(candidates) == {candidate_theory(program, i) for i in range(len(candidates))}
 
 
 def test_candidate_rejects_multi_support_equation():
