@@ -3,9 +3,11 @@
 Reading `p :- q, not r` as the guarded clause `p <- q : {r}` moves the
 negative body into a *guard*.  Resolving body atoms away unions guards,
 so a fully resolved `p : S` certifies: p is derivable by any
-interpretation that avoids S.  Such an S is a support of p, and the
-admitted supports of an interpretation recover the reduct operator
-exactly — but now every answer ships with a proof tree.
+interpretation that avoids S.  That guarded atom is just a guarded
+clause whose body is empty, so a fact like `t.` is one already.  Such
+an S is a support of p, and the admitted supports of an interpretation
+recover the reduct operator exactly — but now every answer ships with a
+proof tree.
 """
 
 from guardres import (
@@ -54,7 +56,7 @@ p = table.id_of("p")
 print("lazy enumeration yields each support with its proof:")
 for guard, proof in enumerate_supports(program, p):
     root = verify_proof(proof, program)  # raises if the tree is corrupt
-    print(f"support {fmt(guard)}, proof of {table.name(root.atom)}:")
+    print(f"support {fmt(guard)}, proof of {table.name(root.head)}:")
     print(format_proof(proof, table), end="")
     print(f"  machine form: {proof_to_sexp(proof, table)}")
 print()

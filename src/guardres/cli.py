@@ -83,7 +83,9 @@ def _build_parser() -> argparse.ArgumentParser:
 def _read_program(path: str) -> Program:
     try:
         if path == "-":
-            text = sys.stdin.read()
+            # Strict UTF-8, as for a file: the text layer of stdin may
+            # decode with `surrogateescape` (UTF-8 mode).
+            text = sys.stdin.buffer.read().decode("utf-8")
         else:
             with open(path, encoding="utf-8") as handle:
                 text = handle.read()

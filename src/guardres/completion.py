@@ -16,18 +16,10 @@ one disjunct `p <-> -S` with its proof; those are `Equation`s too.
 
 from __future__ import annotations
 
-from enum import Enum
-
 from .core import AtomTable, Clause, Program, Record, interpretation_key, set_field
 from .guarded import saturate_supports
 from .sat import CnfTheory, enumerate_models, equation_to_cnf
 from .semantics import brute_force_stable
-
-
-class EquationShape(Enum):
-    POSITIVE = "positive"
-    NEGATIVE = "negative"
-    EQUIV = "equiv"
 
 
 class Equation(Record):
@@ -40,15 +32,6 @@ class Equation(Record):
         set_field(self, "supports", supports)
         set_field(self, "proofs", proofs)
 
-    @property
-    def shape(self) -> EquationShape:
-        if not self.supports:
-            return EquationShape.NEGATIVE
-        if not self.supports[0]:
-            # The empty guard subsumes everything, so it is the whole antichain.
-            return EquationShape.POSITIVE
-        return EquationShape.EQUIV
-
     def holds_in(self, members: frozenset[int]) -> bool:
         """Direct semantic reading: the atom holds iff some support is avoided."""
         admitted = any(not (s & members) for s in self.supports)
@@ -57,14 +40,15 @@ class Equation(Record):
 
 def format_equation(equation: Equation, table: AtomTable) -> str:
     name = table.name(equation.atom)
-    shape = equation.shape
-    if shape is EquationShape.NEGATIVE:
+    supports = equation.supports
+    if not supports:
         return f"-{name}."
-    if shape is EquationShape.POSITIVE:
+    if not supports[0]:
+        # The empty guard subsumes everything, so it is the whole antichain.
         return f"{name}."
     disjuncts = [
         " & ".join(f"-{table.name(a)}" for a in sorted(support))
-        for support in equation.supports
+        for support in supports
     ]
     return f"{name} <-> " + " | ".join(disjuncts)
 

@@ -2,12 +2,14 @@
 
 A normal clause `p :- q1, ..., qn, not r1, ..., not rm` is read as the
 guarded Horn clause `p <- q1, ..., qn : {r1, ..., rm}`: the negative body
-atoms move, positively, into the guard.  Resolving a body atom away
-against an already-derived guarded atom merges the guards, so a fully
-resolved atom's guard records every negative assumption used along the
-way.  A guard S with `p : S` derivable is a *support* of p, and an
-interpretation *admits* `p : S` when it avoids S entirely; collecting
-supports is what turns the reduct fixpoint into proof search.
+atoms move, positively, into the guard.  A guarded atom `p : S` is a
+guarded clause with an empty body, so one type covers both.  Resolving a
+body atom away against an already-derived guarded atom merges the
+guards, so a fully resolved atom's guard records every negative
+assumption used along the way.  A guard S with `p : S` derivable is a
+*support* of p, and an interpretation *admits* `p : S` when it avoids S
+entirely; collecting supports is what turns the reduct fixpoint into
+proof search.
 
 Nothing here recurses on the depth of a program or a proof: saturation
 runs a worklist, every proof-tree walk keeps an explicit stack, and lazy
@@ -31,15 +33,9 @@ class ProofError(ValueError):
     """A proof tree failed verification."""
 
 
-class GuardedAtom(Record):
-    __slots__ = ("atom", "guard")
-
-    def __init__(self, atom: int, guard: frozenset[int]):
-        set_field(self, "atom", atom)
-        set_field(self, "guard", guard)
-
-
 class GuardedClause(Record):
+    """`head <- body : guard`; with an empty body it is the guarded atom `head : guard`."""
+
     __slots__ = ("head", "body", "guard")
 
     def __init__(self, head: int, body: frozenset[int], guard: frozenset[int]):
@@ -47,32 +43,29 @@ class GuardedClause(Record):
         set_field(self, "body", body)
         set_field(self, "guard", guard)
 
-    def as_atom(self) -> GuardedAtom:
-        if self.body:
-            raise ValueError("clause body is not empty")
-        return GuardedAtom(self.head, self.guard)
-
 
 def translate(clause: Clause) -> GuardedClause:
     """Flip the negative body into a guard: `p :- q, not r` becomes `p <- q : {r}`."""
     return GuardedClause(clause.head, clause.pos_body, clause.neg_body)
 
 
-def guarded_resolve(gc: GuardedClause, ga: GuardedAtom) -> GuardedClause:
-    """Remove `ga.atom` from the clause body and union the guards."""
-    if ga.atom not in gc.body:
-        raise ValueError(f"atom id {ga.atom} does not occur in the clause body")
-    return GuardedClause(gc.head, gc.body - {ga.atom}, gc.guard | ga.guard)
+def guarded_resolve(gc: GuardedClause, ga: GuardedClause) -> GuardedClause:
+    """One resolution step: remove the guarded atom `ga` from the body of `gc`.
+
+    The resolvent keeps the rest of the body and unions the guards; once
+    the body is empty it is itself a guarded atom.  Raises ValueError
+    unless `gc` still has a body, `ga` has none, and `ga.head` is in it.
+    """
+    if not gc.body:
+        raise ValueError("clause parent is already fully resolved")
+    if ga.body:
+        raise ValueError("atom parent still has body atoms")
+    if ga.head not in gc.body:
+        raise ValueError(f"atom id {ga.head} does not occur in the clause body")
+    return GuardedClause(gc.head, gc.body - {ga.head}, gc.guard | ga.guard)
 
 
-def _resolvent_label(gc: GuardedClause, ga: GuardedAtom) -> GuardedClause | GuardedAtom:
-    """The label of a resolution step: the resolvent, atom-shaped once its body is empty."""
-    if len(gc.body) == 1 and ga.atom in gc.body:
-        return GuardedAtom(gc.head, gc.guard | ga.guard)
-    return guarded_resolve(gc, ga)
-
-
-def admits(members: frozenset[int], ga: GuardedAtom) -> bool:
+def admits(members: frozenset[int], ga: GuardedClause) -> bool:
     """True when `members` avoids the guard entirely."""
     return not (members & ga.guard)
 
@@ -80,17 +73,18 @@ def admits(members: frozenset[int], ga: GuardedAtom) -> bool:
 class ProofTree(Record):
     """Derivation tree: leaves from the program, inner nodes from resolution.
 
-    An inner node has a clause parent and an atom parent and is labeled
-    with their resolvent (converted to a GuardedAtom once the body is
-    gone).  Leaves are guarded images of program clauses, with purely
-    negative clauses appearing atom-shaped; the root of a complete proof
-    is always a GuardedAtom.  Two trees are equal when they have the same
-    shape and labels; equality and hashing walk the nodes iteratively.
+    Every label is a GuardedClause; one with an empty body is a guarded
+    atom `p : S`.  Leaves are the guarded images of program clauses, so a
+    fact or a purely negative clause is an atom leaf.  An inner node has
+    a clause parent and an atom parent and is labeled with their
+    resolvent, and the root of a complete proof is a guarded atom.  Two
+    trees are equal when they have the same shape and labels; equality
+    and hashing walk the nodes iteratively.
     """
 
     __slots__ = ("label", "clause_parent", "atom_parent")
 
-    def __init__(self, label: GuardedClause | GuardedAtom,
+    def __init__(self, label: GuardedClause,
                  clause_parent: ProofTree | None = None, atom_parent: ProofTree | None = None):
         set_field(self, "label", label)
         set_field(self, "clause_parent", clause_parent)
@@ -136,53 +130,37 @@ class ProofTree(Record):
         return f"ProofTree({self.label!r}, size={self.size()})"
 
 
-def verify_proof(tree: ProofTree, program: Program) -> GuardedAtom:
+def verify_proof(tree: ProofTree, program: Program) -> GuardedClause:
     """Check a proof tree against `program` and return its root guarded atom.
 
-    Every leaf must be the guarded image of a program clause, every inner
-    node must be labeled with the resolvent of its two parents, and the
-    root must be fully resolved.  The root guard is also audited against
+    Every leaf must be the guarded image of a program clause, looked up
+    among the clauses of its head, every inner node must be labeled with
+    the resolvent of its two parents, and the root must be fully resolved.  The root guard is also audited against
     the union of all leaf guards, which equality resolution guarantees.
     Each check reads one node and its parents only, so one pre-order pass
     does them all.  Raises ProofError on any violation.
     """
-    atom_leaves: set[GuardedAtom] = set()
-    clause_leaves: set[GuardedClause] = set()
-    for clause in program.clauses:
-        image = translate(clause)
-        if image.body:
-            clause_leaves.add(image)
-        else:
-            atom_leaves.add(image.as_atom())
-
     leaf_union: set[int] = set()
     for node in tree.nodes():
         label = node.label
         clause_parent = node.clause_parent
         atom_parent = node.atom_parent
         if clause_parent is None and atom_parent is None:
-            if isinstance(label, GuardedAtom):
-                if label not in atom_leaves:
-                    raise ProofError(
-                        f"leaf {label} is not the image of a purely negative clause")
-            elif label not in clause_leaves:
+            clause = Clause(label.head, label.body, label.guard)
+            if clause not in program.clauses_for(label.head):
                 raise ProofError(f"leaf {label} is not the image of a program clause")
             leaf_union |= label.guard
             continue
         if clause_parent is None or atom_parent is None:
             raise ProofError("inner node lacks a clause parent or an atom parent")
-        if not isinstance(clause_parent.label, GuardedClause):
-            raise ProofError("clause parent is already fully resolved")
-        if not isinstance(atom_parent.label, GuardedAtom):
-            raise ProofError("atom parent still has body atoms")
         try:
-            expected = _resolvent_label(clause_parent.label, atom_parent.label)
+            expected = guarded_resolve(clause_parent.label, atom_parent.label)
         except ValueError as exc:
             raise ProofError(str(exc)) from exc
         if label != expected:
             raise ProofError(f"inner node labeled {label}, resolution gives {expected}")
     root = tree.label
-    if not isinstance(root, GuardedAtom):
+    if root.body:
         raise ProofError("root is not fully resolved")
     if root.guard != leaf_union:
         raise ProofError("root guard differs from the union of leaf guards")
@@ -359,13 +337,14 @@ def _derive(target: int, clauses_for: Callable[[int], tuple[Clause, ...]],
         pos_body = clause.pos_body
         if not pos_body.isdisjoint(branch):
             continue
+        leaf = ProofTree(translate(clause))
         if not pos_body:
-            yield ProofTree(GuardedAtom(target, clause.neg_body))
+            yield leaf
             continue
         body = sorted(pos_body)
         # nodes[j] is the clause's leaf resolved against the current proofs
         # of body[:j]; goals[j] produces the proofs of body[j].
-        nodes = [ProofTree(GuardedClause(target, pos_body, clause.neg_body))]
+        nodes = [leaf]
         goals = [(body[0], _derive(body[0], clauses_for, branch))]
         while goals:
             proof = yield goals[-1]
@@ -373,7 +352,7 @@ def _derive(target: int, clauses_for: Callable[[int], tuple[Clause, ...]],
                 goals.pop()
                 nodes.pop()
                 continue
-            node = ProofTree(_resolvent_label(nodes[-1].label, proof.label),
+            node = ProofTree(guarded_resolve(nodes[-1].label, proof.label),
                              nodes[-1], proof)
             if len(goals) == len(body):
                 yield node
@@ -433,11 +412,11 @@ def format_proof(tree: ProofTree, table: AtomTable) -> str:
         node, depth = stack.pop()
         label = node.label
         guard = ", ".join([names[a] for a in sorted(label.guard)])
-        if isinstance(label, GuardedAtom):
-            lines.append(f"{depth}| {names[label.atom]} : {{{guard}}}")
-        else:
+        if label.body:
             body = ", ".join([names[a] for a in sorted(label.body)])
             lines.append(f"{depth}| {names[label.head]} <- {body} : {{{guard}}}")
+        else:
+            lines.append(f"{depth}| {names[label.head]} : {{{guard}}}")
         if node.atom_parent is not None:
             stack.append((node.atom_parent, depth + 1))
         if node.clause_parent is not None:
@@ -458,13 +437,13 @@ def proof_to_sexp(tree: ProofTree, table: AtomTable) -> str:
         if not item.is_leaf:
             stack.extend((")", item.atom_parent, " ", item.clause_parent))
             parts.append("(step ")
-        elif isinstance(label, GuardedAtom):
-            guard = " ".join(table.name(a) for a in sorted(label.guard))
-            parts.append(f"(atom {table.name(label.atom)} ({guard}))")
-        else:
+            continue
+        guard = " ".join(table.name(a) for a in sorted(label.guard))
+        if label.body:
             body = " ".join(table.name(a) for a in sorted(label.body))
-            guard = " ".join(table.name(a) for a in sorted(label.guard))
             parts.append(f"(clause {table.name(label.head)} ({body}) ({guard}))")
+        else:
+            parts.append(f"(atom {table.name(label.head)} ({guard}))")
     return "".join(parts)
 
 
@@ -497,15 +476,6 @@ def proof_from_sexp(text: str, table: AtomTable) -> ProofTree:
         take(")")
         return frozenset(ids)
 
-    def step(clause_parent: ProofTree, atom_parent: ProofTree) -> ProofTree:
-        clause_label = clause_parent.label
-        atom_label = atom_parent.label
-        if not isinstance(clause_label, GuardedClause) or not isinstance(
-                atom_label, GuardedAtom):
-            raise ValueError("malformed step: expected a clause and an atom parent")
-        return ProofTree(_resolvent_label(clause_label, atom_label),
-                         clause_parent, atom_parent)
-
     # Each open `(step` keeps the parents parsed so far; a finished node
     # goes to the innermost open step, and a step with both parents
     # closes and is finished in turn.
@@ -516,19 +486,13 @@ def proof_from_sexp(text: str, table: AtomTable) -> ProofTree:
         if kind == "step":
             open_steps.append([])
             continue
-        if kind == "atom":
-            head = atom_id(take())
-            guard = atom_set()
-            take(")")
-            node = ProofTree(GuardedAtom(head, guard))
-        elif kind == "clause":
-            head = atom_id(take())
-            body = atom_set()
-            guard = atom_set()
-            take(")")
-            node = ProofTree(GuardedClause(head, body, guard))
-        else:
+        if kind not in ("atom", "clause"):
             raise ValueError(f"unknown proof node kind {kind!r}")
+        head = atom_id(take())
+        body = atom_set() if kind == "clause" else frozenset()
+        guard = atom_set()
+        take(")")
+        node = ProofTree(GuardedClause(head, body, guard))
         while open_steps:
             parents = open_steps[-1]
             parents.append(node)
@@ -536,7 +500,9 @@ def proof_from_sexp(text: str, table: AtomTable) -> ProofTree:
                 break
             open_steps.pop()
             take(")")
-            node = step(*parents)
+            clause_parent, atom_parent = parents
+            node = ProofTree(guarded_resolve(clause_parent.label, atom_parent.label),
+                             clause_parent, atom_parent)
         else:
             break
     if pos != len(tokens):

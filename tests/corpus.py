@@ -31,7 +31,6 @@ from guardres import (
 )
 from guardres.core import ResourceLimitError, interpretation_key
 from guardres.guarded import (
-    GuardedAtom,
     GuardedClause,
     ProofTree,
     SupportTable,
@@ -402,10 +401,10 @@ def reference_enumerate_supports(program: Program, atom: int):
         for clause in program.clauses_for(target):
             if clause.pos_body & blocked:
                 continue
-            if not clause.pos_body:
-                yield clause.neg_body, ProofTree(GuardedAtom(target, clause.neg_body))
-                continue
             leaf = ProofTree(GuardedClause(target, clause.pos_body, clause.neg_body))
+            if not clause.pos_body:
+                yield clause.neg_body, leaf
+                continue
             yield from expand(leaf, sorted(clause.pos_body), 0, blocked)
 
     def expand(subtree: ProofTree, body: list, index: int, blocked: frozenset):
@@ -413,8 +412,7 @@ def reference_enumerate_supports(program: Program, atom: int):
             yield subtree.label.guard, subtree
             return
         for _, sub_proof in derive(body[index], blocked):
-            resolvent = guarded_resolve(subtree.label, sub_proof.label)
-            label = resolvent if resolvent.body else resolvent.as_atom()
+            label = guarded_resolve(subtree.label, sub_proof.label)
             node = ProofTree(label, clause_parent=subtree, atom_parent=sub_proof)
             yield from expand(node, body, index + 1, blocked)
 
@@ -429,11 +427,11 @@ def reference_format_proof(tree: ProofTree, table: AtomTable) -> str:
 
     def emit(node: ProofTree, depth: int):
         label = node.label
-        if isinstance(label, GuardedAtom):
-            yield f"{depth}| {table.name(label.atom)} : {{{names(label.guard)}}}\n"
-        else:
+        if label.body:
             yield (f"{depth}| {table.name(label.head)} <- {names(label.body)} : "
                    f"{{{names(label.guard)}}}\n")
+        else:
+            yield f"{depth}| {table.name(label.head)} : {{{names(label.guard)}}}\n"
         for parent in (node.clause_parent, node.atom_parent):
             if parent is not None:
                 yield from emit(parent, depth + 1)

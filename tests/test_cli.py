@@ -1,4 +1,7 @@
 import io
+import os
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -47,7 +50,8 @@ def test_solve_no_model_exits_10(odd_file, capsys):
 
 
 def test_solve_reads_stdin(monkeypatch, capsys):
-    monkeypatch.setattr("sys.stdin", io.StringIO("a :- not b.\n"))
+    monkeypatch.setattr("sys.stdin",
+                        io.TextIOWrapper(io.BytesIO(b"a :- not b.\n"), encoding="utf-8"))
     assert run(["solve", "-"]) == 0
     assert capsys.readouterr().out == "{a}\n"
 
@@ -62,8 +66,12 @@ def test_solve_multiple_models_sorted_by_name(tmp_path, capsys):
 def test_solve_limit(tmp_path, capsys):
     path = tmp_path / "two.lp"
     path.write_text("a :- not b.\nb :- not a.\n")
-    assert run(["solve", str(path), "--limit", "1"]) == 0
-    assert capsys.readouterr().out.count("{") == 1
+    # Each engine keeps the first model in its own order: choice tuples
+    # for the candidate search, bitmasks for the other two.
+    for engine, first in (("candidate", "{b}\n"), ("completion", "{a}\n"),
+                          ("brute", "{a}\n")):
+        assert run(["solve", str(path), "--limit", "1", "--engine", engine]) == 0
+        assert capsys.readouterr().out == first
 
 
 @pytest.mark.parametrize("engine", ["candidate", "completion", "brute"])
@@ -104,6 +112,11 @@ def test_solve_certs_golden(tmp_path, capsys, text, golden):
     assert capsys.readouterr().out == (GOLDEN / golden).read_text()
 
 
+def test_supports_proofs_golden_example(example_file, capsys):
+    assert run(["supports", example_file, "--atom", "p", "--proofs"]) == 0
+    assert capsys.readouterr().out == (GOLDEN / "example_proofs.txt").read_text()
+
+
 def test_solve_certs_requires_candidate_engine(example_file, capsys):
     assert run(["solve", example_file, "--certs", "--engine", "brute"]) == 2
 
@@ -138,6 +151,18 @@ def test_undecodable_input_exits_2(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8"))
     assert run(["solve", "-"]) == 2
     assert capsys.readouterr().err.startswith("error: cannot read -: ")
+
+
+def test_undecodable_stdin_exits_2_in_utf8_mode():
+    # UTF-8 mode gives stdin's text layer `surrogateescape`; the bytes must
+    # still be refused as a read error, as they are in a file.
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONUTF8="1", PYTHONPATH=str(src))
+    done = subprocess.run([sys.executable, "-m", "guardres.cli", "solve", "-"],
+                          input=b"\xff p.\n", env=env, capture_output=True, timeout=60)
+    assert done.returncode == 2
+    assert done.stdout == b""
+    assert done.stderr.startswith(b"error: cannot read -: ")
 
 
 def test_resource_error_exits_3(tmp_path, capsys):

@@ -5,13 +5,13 @@ import pytest
 
 from guardres import (
     AtomTable,
-    EquationShape,
     Program,
     all_interpretations,
     brute_force_stable,
     build_completion,
     dung_transform,
     equivalent,
+    format_equation,
     models_of_completion,
     render_program,
     saturate_supports,
@@ -25,8 +25,7 @@ from corpus import all_supports, example_program, members_of, prog, random_progr
 def _equation_map(theory):
     name = theory.program.atoms.name
     return {
-        name(eq.atom): (eq.shape,
-                        {frozenset(name(a) for a in s) for s in eq.supports})
+        name(eq.atom): {frozenset(name(a) for a in s) for s in eq.supports}
         for eq in theory.equations
     }
 
@@ -34,18 +33,18 @@ def _equation_map(theory):
 def test_build_completion_worked_example():
     theory = build_completion(example_program())
     assert _equation_map(theory) == {
-        "p": (EquationShape.EQUIV, {frozenset({"q"}), frozenset({"r"})}),
-        "t": (EquationShape.POSITIVE, {frozenset()}),
-        "q": (EquationShape.EQUIV, {frozenset({"s"})}),
-        "r": (EquationShape.NEGATIVE, set()),
-        "s": (EquationShape.NEGATIVE, set()),
+        "p": {frozenset({"q"}), frozenset({"r"})},
+        "t": {frozenset()},
+        "q": {frozenset({"s"})},
+        "r": set(),
+        "s": set(),
     }
 
 
 def test_build_completion_self_guard():
     theory = build_completion(prog("p :- not p."))
     assert _equation_map(theory) == {
-        "p": (EquationShape.EQUIV, {frozenset({"p"})}),
+        "p": {frozenset({"p"})},
     }
     assert models_of_completion(theory) == []
     assert brute_force_stable(theory.program) == []
@@ -54,7 +53,7 @@ def test_build_completion_self_guard():
 def test_build_completion_unclaused_atom_is_negative():
     table = AtomTable(["a"])
     theory = build_completion(Program(table, []))
-    assert _equation_map(theory) == {"a": (EquationShape.NEGATIVE, set())}
+    assert _equation_map(theory) == {"a": set()}
     assert models_of_completion(theory) == [frozenset()]
 
 
@@ -191,8 +190,13 @@ def test_shape_law_on_random_corpus():
         theory = build_completion(program)
         for eq in theory.equations:
             supports = table.supports(eq.atom)
-            assert (eq.shape is EquationShape.POSITIVE) == (frozenset() in supports)
-            assert (eq.shape is EquationShape.NEGATIVE) == (not supports)
+            assert eq.supports == supports
+            # The empty guard is the whole antichain, and prints as `p.`.
+            name = program.atoms.name(eq.atom)
+            text = format_equation(eq, program.atoms)
+            assert (text == f"{name}.") == (frozenset() in supports) == (
+                supports == (frozenset(),))
+            assert (text == f"-{name}.") == (not supports)
 
 
 def test_same_support_tables_implies_equivalent():

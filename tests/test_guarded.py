@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings
 
 from guardres import (
-    GuardedAtom,
     GuardedClause,
     ProofError,
     ProofTree,
@@ -60,40 +59,40 @@ def test_guarded_resolve_examples():
     program = example_program()
     p, t, q, r = (program.atoms.id_of(n) for n in "ptqr")
     clause = GuardedClause(p, frozenset([t]), frozenset([q]))
-    resolved = guarded_resolve(clause, GuardedAtom(t, frozenset()))
+    resolved = guarded_resolve(clause, GuardedClause(t, frozenset(), frozenset()))
     assert resolved == GuardedClause(p, frozenset(), frozenset([q]))
 
     wide = GuardedClause(p, frozenset([t, q]), frozenset([r]))
-    step = guarded_resolve(wide, GuardedAtom(t, frozenset([4])))
+    step = guarded_resolve(wide, GuardedClause(t, frozenset(), frozenset([4])))
     assert step == GuardedClause(p, frozenset([q]), frozenset([r, 4]))
 
     with pytest.raises(ValueError):
         guarded_resolve(GuardedClause(p, frozenset([q]), frozenset([r])),
-                        GuardedAtom(t, frozenset()))
+                        GuardedClause(t, frozenset(), frozenset()))
 
 
 def test_admits_examples():
     program = example_program()
     model = members_of(program, "p", "q", "t")
     p, q, r = (program.atoms.id_of(n) for n in "pqr")
-    assert admits(model, GuardedAtom(p, frozenset([r])))
-    assert not admits(model, GuardedAtom(p, frozenset([q])))
-    assert admits(model, GuardedAtom(p, frozenset()))
+    assert admits(model, GuardedClause(p, frozenset(), frozenset([r])))
+    assert not admits(model, GuardedClause(p, frozenset(), frozenset([q])))
+    assert admits(model, GuardedClause(p, frozenset(), frozenset()))
 
 
 def _two_leaf_proof(program):
     p, t, q = (program.atoms.id_of(n) for n in "ptq")
     clause_leaf = ProofTree(GuardedClause(p, frozenset([t]), frozenset([q])))
-    atom_leaf = ProofTree(GuardedAtom(t, frozenset()))
-    return ProofTree(GuardedAtom(p, frozenset([q])),
+    atom_leaf = ProofTree(GuardedClause(t, frozenset(), frozenset()))
+    return ProofTree(GuardedClause(p, frozenset(), frozenset([q])),
                      clause_parent=clause_leaf, atom_parent=atom_leaf)
 
 
 def test_verify_single_node_proof():
     program = example_program()
     q, s = program.atoms.id_of("q"), program.atoms.id_of("s")
-    tree = ProofTree(GuardedAtom(q, frozenset([s])))
-    assert verify_proof(tree, program) == GuardedAtom(q, frozenset([s]))
+    tree = ProofTree(GuardedClause(q, frozenset(), frozenset([s])))
+    assert verify_proof(tree, program) == GuardedClause(q, frozenset(), frozenset([s]))
 
 
 def test_verify_two_leaf_proof():
@@ -106,8 +105,8 @@ def test_verify_rejects_corrupt_inner_label():
     program = example_program()
     p, t, q, r = (program.atoms.id_of(n) for n in "ptqr")
     clause_leaf = ProofTree(GuardedClause(p, frozenset([t]), frozenset([q])))
-    atom_leaf = ProofTree(GuardedAtom(t, frozenset()))
-    corrupt = ProofTree(GuardedAtom(p, frozenset([q, r])),  # wrong guard union
+    atom_leaf = ProofTree(GuardedClause(t, frozenset(), frozenset()))
+    corrupt = ProofTree(GuardedClause(p, frozenset(), frozenset([q, r])),  # wrong guard union
                         clause_parent=clause_leaf, atom_parent=atom_leaf)
     with pytest.raises(ProofError):
         verify_proof(corrupt, program)
@@ -117,7 +116,7 @@ def test_verify_rejects_foreign_leaf():
     program = example_program()
     p = program.atoms.id_of("p")
     with pytest.raises(ProofError):
-        verify_proof(ProofTree(GuardedAtom(p, frozenset())), program)
+        verify_proof(ProofTree(GuardedClause(p, frozenset(), frozenset())), program)
 
 
 def test_verify_rejects_unresolved_root():
@@ -131,10 +130,10 @@ def _faulty_proof(program, fault):
     """A hand-made tree over the worked example with one `verify_proof` fault."""
     p, t, q, r, s = (program.atoms.id_of(n) for n in "ptqrs")
     clause_leaf = ProofTree(GuardedClause(p, frozenset([t]), frozenset([q])))
-    t_leaf = ProofTree(GuardedAtom(t, frozenset()))
-    resolved = GuardedAtom(p, frozenset([q]))
+    t_leaf = ProofTree(GuardedClause(t, frozenset(), frozenset()))
+    resolved = GuardedClause(p, frozenset(), frozenset([q]))
     if fault == "foreign atom leaf":
-        return ProofTree(GuardedAtom(p, frozenset()))
+        return ProofTree(GuardedClause(p, frozenset(), frozenset()))
     if fault == "foreign clause leaf":
         return ProofTree(GuardedClause(p, frozenset([q]), frozenset()))
     if fault == "clause parent resolved":
@@ -144,17 +143,17 @@ def _faulty_proof(program, fault):
     if fault == "missing parent":
         return ProofTree(resolved, clause_parent=clause_leaf)
     if fault == "wrong inner label":
-        return ProofTree(GuardedAtom(p, frozenset([q, r])),
+        return ProofTree(GuardedClause(p, frozenset(), frozenset([q, r])),
                          clause_parent=clause_leaf, atom_parent=t_leaf)
     if fault == "atom not in body":
-        q_leaf = ProofTree(GuardedAtom(q, frozenset([s])))
+        q_leaf = ProofTree(GuardedClause(q, frozenset(), frozenset([s])))
         return ProofTree(resolved, clause_parent=clause_leaf, atom_parent=q_leaf)
     assert fault == "unresolved root"
     return clause_leaf
 
 
 @pytest.mark.parametrize("fault, message", [
-    ("foreign atom leaf", "is not the image of a purely negative clause"),
+    ("foreign atom leaf", "is not the image of a program clause"),
     ("foreign clause leaf", "is not the image of a program clause"),
     ("clause parent resolved", "clause parent is already fully resolved"),
     ("atom parent with body", "atom parent still has body atoms"),
@@ -257,7 +256,7 @@ def test_enumerate_chained_support():
     guard, tree = yields[0]
     assert names_of(program, guard) == {"r", "s"}
     assert tree.size() == 3
-    assert verify_proof(tree, program) == GuardedAtom(p, guard)
+    assert verify_proof(tree, program) == GuardedClause(p, frozenset(), guard)
 
 
 def test_enumerate_terminates_under_positive_loops():
@@ -276,7 +275,7 @@ def test_enumerate_certificates_verify_and_admit():
         for atom in range(len(program.atoms)):
             for guard, tree in islice(enumerate_supports(program, atom), 200):
                 root = verify_proof(tree, program)
-                assert root == GuardedAtom(atom, guard)
+                assert root == GuardedClause(atom, frozenset(), guard)
                 leaf_union = frozenset()
                 for leaf in tree.leaves():
                     leaf_union |= leaf.label.guard
@@ -323,7 +322,7 @@ def test_certificate_lookup_matches_table():
     p = program.atoms.id_of("p")
     for guard in table.supports(p):
         tree = table.certificate(p, guard)
-        assert verify_proof(tree, program) == GuardedAtom(p, guard)
+        assert verify_proof(tree, program) == GuardedClause(p, frozenset(), guard)
     with pytest.raises(KeyError):
         table.certificate(p, frozenset([p]))
 
@@ -355,6 +354,50 @@ def test_proof_sexp_roundtrip_property(program):
             assert proof_from_sexp(text, program.atoms) == tree
 
 
+def _with_leaf(tree, leaf, label):
+    """A copy of `tree` with the node `leaf` relabeled `label`, every other label kept."""
+    if tree is leaf:
+        return ProofTree(label)
+    if tree.is_leaf:
+        return tree
+    return ProofTree(tree.label, _with_leaf(tree.clause_parent, leaf, label),
+                     _with_leaf(tree.atom_parent, leaf, label))
+
+
+def _foreign_labels(program, label):
+    """Up to three near misses of a leaf label that no program clause translates to.
+
+    One guard atom added, one body atom dropped, and the guarded atom of
+    an atom that heads no clause; a kind with no foreign member is skipped.
+    """
+    atoms = range(len(program.atoms))
+    images = set(map(translate, program.clauses))
+    kinds = (
+        [GuardedClause(label.head, label.body, label.guard | {a})
+         for a in atoms if a not in label.guard],
+        [GuardedClause(label.head, label.body - {b}, label.guard) for b in sorted(label.body)],
+        [GuardedClause(a, frozenset(), frozenset()) for a in atoms if not program.clauses_for(a)],
+    )
+    for kind in kinds:
+        foreign = [candidate for candidate in kind if candidate not in images]
+        if foreign:
+            yield foreign[0]
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_programs())
+def test_verify_checks_each_leaf_against_its_head_property(program):
+    for atom in range(len(program.atoms)):
+        for guard, tree in islice(enumerate_supports(program, atom), 20):
+            assert verify_proof(tree, program) == GuardedClause(atom, frozenset(), guard)
+            for leaf in tree.leaves():
+                for label in _foreign_labels(program, leaf.label):
+                    with pytest.raises(ProofError, match="is not the image of a program clause"):
+                        verify_proof(ProofTree(label), program)
+                    with pytest.raises(ProofError):
+                        verify_proof(_with_leaf(tree, leaf, label), program)
+
+
 def test_deep_proof_walks_without_recursion():
     levels = 3000
     program = prog(reversed_chain_text(levels))
@@ -363,14 +406,14 @@ def test_deep_proof_walks_without_recursion():
     assert guard == frozenset()
     assert tree.size() == 2 * levels + 1
     assert sum(1 for _ in tree.leaves()) == levels + 1
-    assert verify_proof(tree, program) == GuardedAtom(top, guard)
+    assert verify_proof(tree, program) == GuardedClause(top, frozenset(), guard)
     text = format_proof(tree, program.atoms)
     assert text.startswith(f"0| a{levels} : {{}}\n1| a{levels} <- a{levels - 1} : {{}}\n")
     assert text.endswith(f"{levels}| a1 <- a0 : {{}}\n{levels}| a0 : {{}}\n")
     sexp = proof_to_sexp(tree, program.atoms)
     rebuilt = proof_from_sexp(sexp, program.atoms)
     assert proof_to_sexp(rebuilt, program.atoms) == sexp
-    assert verify_proof(rebuilt, program) == GuardedAtom(top, guard)
+    assert verify_proof(rebuilt, program) == GuardedClause(top, frozenset(), guard)
 
 
 def test_deep_proof_equality_hash_and_repr():
@@ -383,7 +426,8 @@ def test_deep_proof_equality_hash_and_repr():
     assert first == second
     assert hash(first) == hash(second)
     assert repr(first) == repr(second) == (
-        f"ProofTree(GuardedAtom(atom={top}, guard=frozenset()), size={2 * levels + 1})")
+        f"ProofTree(GuardedClause(head={top}, body=frozenset(), guard=frozenset()), "
+        f"size={2 * levels + 1})")
     assert first != first.atom_parent
     cut = ProofTree(first.label, clause_parent=first.clause_parent,
                     atom_parent=ProofTree(first.atom_parent.label))
@@ -429,7 +473,7 @@ def test_proof_sexp_roundtrip():
     for guard, proof in enumerate_supports(program, q):
         rebuilt = proof_from_sexp(proof_to_sexp(proof, program.atoms), program.atoms)
         assert rebuilt == proof
-        assert verify_proof(rebuilt, program) == GuardedAtom(q, guard)
+        assert verify_proof(rebuilt, program) == GuardedClause(q, frozenset(), guard)
 
 
 def test_proof_sexp_truncated_input_is_value_error():

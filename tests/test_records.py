@@ -16,7 +16,6 @@ from guardres import (
     Clause,
     CompletionTheory,
     Equation,
-    GuardedAtom,
     GuardedClause,
     HornClause,
     HornProgram,
@@ -36,54 +35,58 @@ from corpus import example_program
 
 
 def _records():
-    """Per record type: its fields, two equal builds, an unequal one, and the repr."""
+    """Per record type: its id, fields, two equal builds, an unequal one, and the repr."""
     program = example_program()
     first = next(candidate_theories(program))
     a, b = frozenset([1]), frozenset([2])
-    leaf = GuardedAtom(3, frozenset())
+    leaf = GuardedClause(3, frozenset(), frozenset())
     reduct = gl_reduct(program, frozenset())
     completion = build_completion(program)
     return [
-        (("head", "pos_body", "neg_body"), lambda: Clause(0, a, b), Clause(0, b, a),
+        ("Clause", ("head", "pos_body", "neg_body"), lambda: Clause(0, a, b), Clause(0, b, a),
          "Clause(head=0, pos_body=frozenset({1}), neg_body=frozenset({2}))"),
-        (("atom", "guard"), lambda: GuardedAtom(0, a), GuardedAtom(0, b),
-         "GuardedAtom(atom=0, guard=frozenset({1}))"),
-        (("head", "body", "guard"), lambda: GuardedClause(0, a, b), GuardedClause(0, b, a),
+        # A guarded atom `p : S` is a guarded clause with an empty body.
+        ("GuardedAtom", ("head", "body", "guard"), lambda: GuardedClause(0, frozenset(), a),
+         GuardedClause(0, frozenset(), b),
+         "GuardedClause(head=0, body=frozenset(), guard=frozenset({1}))"),
+        ("GuardedClause", ("head", "body", "guard"), lambda: GuardedClause(0, a, b),
+         GuardedClause(0, b, a),
          "GuardedClause(head=0, body=frozenset({1}), guard=frozenset({2}))"),
-        (("label", "clause_parent", "atom_parent"),
-         lambda: ProofTree(GuardedAtom(0, a), atom_parent=ProofTree(leaf)),
-         ProofTree(GuardedAtom(0, a)),
-         "ProofTree(GuardedAtom(atom=0, guard=frozenset({1})), size=2)"),
-        (("line", "column"), lambda: SourceSpan(1, 2), SourceSpan(2, 1),
+        ("ProofTree", ("label", "clause_parent", "atom_parent"),
+         lambda: ProofTree(GuardedClause(0, frozenset(), a), atom_parent=ProofTree(leaf)),
+         ProofTree(GuardedClause(0, frozenset(), a)),
+         "ProofTree(GuardedClause(head=0, body=frozenset(), guard=frozenset({1})), size=2)"),
+        ("SourceSpan", ("line", "column"), lambda: SourceSpan(1, 2), SourceSpan(2, 1),
          "SourceSpan(line=1, column=2)"),
-        (("head", "body"), lambda: HornClause(0, a), HornClause(0, b),
+        ("HornClause", ("head", "body"), lambda: HornClause(0, a), HornClause(0, b),
          "HornClause(head=0, body=frozenset({1}))"),
-        (("atoms", "clauses"), lambda: HornProgram(program.atoms, reduct.clauses),
+        ("HornProgram", ("atoms", "clauses"),
+         lambda: HornProgram(program.atoms, reduct.clauses),
          HornProgram(program.atoms, reduct.clauses[1:]),
          f"HornProgram(atoms={program.atoms!r}, clauses={reduct.clauses!r})"),
-        (("atom", "supports", "proofs"), lambda: Equation(0, (a,), (ProofTree(leaf),)),
-         Equation(0, (a,)),
+        ("Equation", ("atom", "supports", "proofs"),
+         lambda: Equation(0, (a,), (ProofTree(leaf),)), Equation(0, (a,)),
          "Equation(atom=0, supports=(frozenset({1}),), proofs=(ProofTree("
-         "GuardedAtom(atom=3, guard=frozenset()), size=1),))"),
-        (("program", "equations"), lambda: CompletionTheory(program, completion.equations),
+         "GuardedClause(head=3, body=frozenset(), guard=frozenset()), size=1),))"),
+        ("CompletionTheory", ("program", "equations"),
+         lambda: CompletionTheory(program, completion.equations),
          CompletionTheory(program, completion.equations[1:]),
          f"CompletionTheory(program={program!r}, equations={completion.equations!r})"),
-        (("base", "subequations"), lambda: CandidateTheory(first.base, first.subequations),
+        ("CandidateTheory", ("base", "subequations"),
+         lambda: CandidateTheory(first.base, first.subequations),
          candidate_theory(program, 1),
          f"CandidateTheory(base={first.base!r}, subequations={first.subequations!r})"),
     ]
 
 
-RECORDS = _records()
-IDS = [expected.split("(", 1)[0] for *_, expected in RECORDS]
+RECORDS = [pytest.param(*record, id=name) for name, *record in _records()]
 
 
 def _only(*names):
-    return [pytest.param(*record, id=name)
-            for record, name in zip(RECORDS, IDS) if name in names]
+    return [record for record in RECORDS if record.id in names]
 
 
-@pytest.mark.parametrize("fields, build, other, expected", RECORDS, ids=IDS)
+@pytest.mark.parametrize("fields, build, other, expected", RECORDS)
 def test_record_equality_and_hash(fields, build, other, expected):
     one, two = build(), build()
     assert one is not two
@@ -104,12 +107,12 @@ def test_record_hash_is_the_field_tuple_hash(fields, build, other, expected):
     assert hash(record) == hash(tuple(getattr(record, name) for name in fields))
 
 
-@pytest.mark.parametrize("fields, build, other, expected", RECORDS, ids=IDS)
+@pytest.mark.parametrize("fields, build, other, expected", RECORDS)
 def test_record_repr_is_dataclass_style(fields, build, other, expected):
     assert repr(build()) == expected
 
 
-@pytest.mark.parametrize("fields, build, other, expected", RECORDS, ids=IDS)
+@pytest.mark.parametrize("fields, build, other, expected", RECORDS)
 def test_record_fields_are_read_only(fields, build, other, expected):
     record = build()
     for name in fields:
@@ -136,8 +139,6 @@ def test_same_fields_different_type_are_unequal():
     h, b, g = 0, frozenset([1]), frozenset([2])
     assert Clause(h, b, g) != GuardedClause(h, b, g)
     assert GuardedClause(h, b, g) != Clause(h, b, g)
-    assert GuardedAtom(h, b) != HornClause(h, b)
-    assert HornClause(h, b) != GuardedAtom(h, b)
     assert SourceSpan(1, 2) != (1, 2)
 
 
@@ -161,10 +162,10 @@ def test_bad_leaf_message_embeds_label_repr():
     program = example_program()
     p = program.atoms.id_of("p")
     with pytest.raises(ProofError) as caught:
-        verify_proof(ProofTree(GuardedAtom(p, frozenset([4]))), program)
+        verify_proof(ProofTree(GuardedClause(p, frozenset(), frozenset([4]))), program)
     assert str(caught.value) == (
-        "leaf GuardedAtom(atom=0, guard=frozenset({4})) "
-        "is not the image of a purely negative clause")
+        "leaf GuardedClause(head=0, body=frozenset(), guard=frozenset({4})) "
+        "is not the image of a program clause")
     clause = GuardedClause(p, frozenset([4]), frozenset())
     with pytest.raises(ProofError) as caught:
         verify_proof(ProofTree(clause), program)

@@ -7,7 +7,7 @@ from guardres import (
     AtomTable,
     CandidateTheory,
     Equation,
-    GuardedAtom,
+    GuardedClause,
     Program,
     ProofError,
     ProofTree,
@@ -153,7 +153,7 @@ def test_solve_worked_example_certificate():
     assert "q <-> -s" in text
     for se in candidate.subequations:
         for guard, proof in zip(se.supports, se.proofs):
-            assert verify_proof(proof, program) == GuardedAtom(se.atom, guard)
+            assert verify_proof(proof, program) == GuardedClause(se.atom, frozenset(), guard)
 
 
 def test_solve_two_stable_models():
@@ -174,7 +174,7 @@ def test_solve_respects_limit():
 def test_support_subequation_rejects_mismatched_proof():
     program = example_program()
     q, s = program.atoms.id_of("q"), program.atoms.id_of("s")
-    proof = ProofTree(GuardedAtom(q, frozenset([s])))
+    proof = ProofTree(GuardedClause(q, frozenset(), frozenset([s])))
     with pytest.raises(ProofError):
         support_subequation(program, q, frozenset(), proof)
     with pytest.raises(ProofError):
