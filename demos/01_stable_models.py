@@ -37,7 +37,7 @@ candidate = interpretation(table, ["p", "q", "t"])
 print(f"take M = {fmt(candidate)} and build the reduct:")
 reduct = gl_reduct(program, candidate)
 for clause in reduct.clauses:
-    body = ", ".join(table.name(a) for a in sorted(clause.body))
+    body = ", ".join(table.name(a) for a in sorted(clause.pos_body))
     print(f"  {table.name(clause.head)}" + (f" :- {body}." if body else "."))
 print("(the clause `p :- t, not q` died because q is in M)")
 

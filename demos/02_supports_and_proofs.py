@@ -1,10 +1,10 @@
 """Guarded resolution: derive supports and carry checkable proof trees.
 
-Reading `p :- q, not r` as the guarded clause `p <- q : {r}` moves the
-negative body into a *guard*.  Resolving body atoms away unions guards,
-so a fully resolved `p : S` certifies: p is derivable by any
-interpretation that avoids S.  That guarded atom is just a guarded
-clause whose body is empty, so a fact like `t.` is one already.  Such
+Reading `p :- q, not r` as the guarded clause `p <- q : {r}` makes the
+negative body a *guard*.  Resolving body atoms away unfolds the clause
+and unions guards, so a fully resolved `p : S` certifies: p is derivable
+by any interpretation that avoids S.  That guarded atom is just the
+clause `p :- not S`, so a fact like `t.` is one already.  Such
 an S is a support of p, and the admitted supports of an interpretation
 recover the reduct operator exactly — but now every answer ships with a
 proof tree.
@@ -20,7 +20,6 @@ from guardres import (
     parse_program,
     proof_to_sexp,
     saturate_supports,
-    translate,
     verify_proof,
 )
 
@@ -37,11 +36,10 @@ fmt = lambda members: format_interpretation(table, members)
 
 print("guarded images of the clauses:")
 for clause in program.clauses:
-    g = translate(clause)
-    body = ", ".join(table.name(a) for a in sorted(g.body))
-    guard = ", ".join(table.name(a) for a in sorted(g.guard))
+    body = ", ".join(table.name(a) for a in sorted(clause.pos_body))
+    guard = ", ".join(table.name(a) for a in sorted(clause.neg_body))
     arrow = f" <- {body}" if body else ""
-    print(f"  {table.name(g.head)}{arrow} : {{{guard}}}")
+    print(f"  {table.name(clause.head)}{arrow} : {{{guard}}}")
 print()
 
 supports = saturate_supports(program)

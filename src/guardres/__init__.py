@@ -27,7 +27,6 @@ from .core import (
     satisfies_program,
 )
 from .guarded import (
-    GuardedClause,
     ProofError,
     ProofTree,
     SupportTable,
@@ -38,7 +37,6 @@ from .guarded import (
     proof_from_sexp,
     proof_to_sexp,
     saturate_supports,
-    translate,
     verify_proof,
 )
 from .parse import ParseError, SourceSpan, parse_program, render_program
@@ -51,8 +49,6 @@ from .sat import (
     program_to_cnf,
 )
 from .semantics import (
-    HornClause,
-    HornProgram,
     brute_force_stable,
     check_levels,
     compute_levels,
@@ -83,9 +79,6 @@ __all__ = [
     "CnfTheory",
     "CompletionTheory",
     "Equation",
-    "GuardedClause",
-    "HornClause",
-    "HornProgram",
     "ParseError",
     "Program",
     "ProofError",
@@ -133,6 +126,5 @@ __all__ = [
     "satisfies_program",
     "saturate_supports",
     "solve_stable",
-    "translate",
     "verify_proof",
 ]

@@ -108,14 +108,14 @@ def dung_transform(program: Program) -> Program:
     return Program(program.atoms, clauses)
 
 
-def _stable_name_sets(program: Program, cap: int) -> set:
+def _stable_name_sets(program: Program) -> set:
     name = program.atoms.name
     return {
         frozenset(name(a) for a in model)
-        for model in brute_force_stable(program, cap)
+        for model in brute_force_stable(program)
     }
 
 
-def equivalent(program: Program, other: Program, cap: int = 20) -> bool:
+def equivalent(program: Program, other: Program) -> bool:
     """Same stable models, compared by atom name across the two tables."""
-    return _stable_name_sets(program, cap) == _stable_name_sets(other, cap)
+    return _stable_name_sets(program) == _stable_name_sets(other)

@@ -100,10 +100,6 @@ class AtomTable:
         return len(self._names)
 
 
-# An interpretation is a plain frozenset of atom ids.
-Interpretation = frozenset
-
-
 class Clause(Record):
     """`head :- posBody, not negBody`; the two bodies may overlap."""
 

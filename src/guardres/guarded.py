@@ -2,14 +2,14 @@
 
 A normal clause `p :- q1, ..., qn, not r1, ..., not rm` is read as the
 guarded Horn clause `p <- q1, ..., qn : {r1, ..., rm}`: the negative body
-atoms move, positively, into the guard.  A guarded atom `p : S` is a
-guarded clause with an empty body, so one type covers both.  Resolving a
-body atom away against an already-derived guarded atom merges the
-guards, so a fully resolved atom's guard records every negative
-assumption used along the way.  A guard S with `p : S` derivable is a
-*support* of p, and an interpretation *admits* `p : S` when it avoids S
-entirely; collecting supports is what turns the reduct fixpoint into
-proof search.
+is the guard.  So a guarded clause is a program `Clause`, and a guarded
+atom `p : S` is the clause `p :- not S`.  A resolution step unfolds one
+body atom: from `p :- q, B, not S` and `q :- not T` it derives
+`p :- B, not S | T`, so a fully resolved atom's negative body records
+every negative assumption used along the way.  A guard S with `p : S`
+derivable is a *support* of p, and an interpretation *admits* `p : S`
+when it avoids S entirely; collecting supports is what turns the reduct
+fixpoint into proof search.
 
 Nothing here recurses on the depth of a program or a proof: saturation
 runs a worklist, every proof-tree walk keeps an explicit stack, and lazy
@@ -26,65 +26,52 @@ from itertools import product
 
 from .core import AtomTable, Clause, Program, Record, ResourceLimitError, set_field
 
-DEFAULT_SUPPORT_CAP = 10_000
+# Most guards one atom may store; saturation reads it at call time.
+SUPPORT_CAP = 10_000
 
 
 class ProofError(ValueError):
     """A proof tree failed verification."""
 
 
-class GuardedClause(Record):
-    """`head <- body : guard`; with an empty body it is the guarded atom `head : guard`."""
+def guarded_resolve(gc: Clause, ga: Clause) -> Clause:
+    """One resolution step: unfold the guarded atom `ga` into the body of `gc`.
 
-    __slots__ = ("head", "body", "guard")
-
-    def __init__(self, head: int, body: frozenset[int], guard: frozenset[int]):
-        set_field(self, "head", head)
-        set_field(self, "body", body)
-        set_field(self, "guard", guard)
-
-
-def translate(clause: Clause) -> GuardedClause:
-    """Flip the negative body into a guard: `p :- q, not r` becomes `p <- q : {r}`."""
-    return GuardedClause(clause.head, clause.pos_body, clause.neg_body)
-
-
-def guarded_resolve(gc: GuardedClause, ga: GuardedClause) -> GuardedClause:
-    """One resolution step: remove the guarded atom `ga` from the body of `gc`.
-
-    The resolvent keeps the rest of the body and unions the guards; once
-    the body is empty it is itself a guarded atom.  Raises ValueError
-    unless `gc` still has a body, `ga` has none, and `ga.head` is in it.
+    The resolvent keeps the rest of the positive body and unions the
+    negative bodies; once the positive body is empty it is itself a
+    guarded atom.  Raises ValueError unless `gc` still has a positive
+    body, `ga` has none, and `ga.head` is in it.
     """
-    if not gc.body:
+    if not gc.pos_body:
         raise ValueError("clause parent is already fully resolved")
-    if ga.body:
+    if ga.pos_body:
         raise ValueError("atom parent still has body atoms")
-    if ga.head not in gc.body:
+    if ga.head not in gc.pos_body:
         raise ValueError(f"atom id {ga.head} does not occur in the clause body")
-    return GuardedClause(gc.head, gc.body - {ga.head}, gc.guard | ga.guard)
+    return Clause(gc.head, gc.pos_body - {ga.head}, gc.neg_body | ga.neg_body)
 
 
-def admits(members: frozenset[int], ga: GuardedClause) -> bool:
+def admits(members: frozenset[int], ga: Clause) -> bool:
     """True when `members` avoids the guard entirely."""
-    return not (members & ga.guard)
+    return not (members & ga.neg_body)
 
 
 class ProofTree(Record):
     """Derivation tree: leaves from the program, inner nodes from resolution.
 
-    Every label is a GuardedClause; one with an empty body is a guarded
-    atom `p : S`.  Leaves are the guarded images of program clauses, so a
-    fact or a purely negative clause is an atom leaf.  An inner node has
-    a clause parent and an atom parent and is labeled with their
-    resolvent, and the root of a complete proof is a guarded atom.  Two
-    trees are equal when they have the same shape and labels; equality
-    and hashing walk the nodes iteratively.
+    Every label is a `Clause` whose negative body is its guard; one with
+    an empty positive body is a guarded atom `p : S`.  Leaves are program
+    clauses, so a fact or a purely negative clause is an atom leaf.  An
+    inner node has a clause parent and an atom parent and is labeled with
+    their resolvent, the unfolded clause, and the root of a complete
+    proof is a guarded atom.  Two trees are equal when they have the same
+    shape and labels; equality, hashing, copying and pickling walk the
+    nodes iteratively.
     """
 
     __slots__ = ("label", "clause_parent", "atom_parent")
 
-    def __init__(self, label: GuardedClause,
+    def __init__(self, label: Clause,
                  clause_parent: ProofTree | None = None, atom_parent: ProofTree | None = None):
         set_field(self, "label", label)
         set_field(self, "clause_parent", clause_parent)
@@ -129,16 +116,34 @@ class ProofTree(Record):
     def __repr__(self) -> str:
         return f"ProofTree({self.label!r}, size={self.size()})"
 
+    def __reduce__(self):
+        return _rebuild_proof, (tuple(node._shape() for node in self.nodes()),)
 
-def verify_proof(tree: ProofTree, program: Program) -> GuardedClause:
+
+def _rebuild_proof(shapes: tuple) -> ProofTree:
+    """The tree whose pre-order `_shape()`s are `shapes`, built bottom-up.
+
+    Read backwards, a pre-order lists each node after both its subtrees,
+    the clause parent's last, so their roots are on top of the stack.
+    """
+    stack: list[ProofTree] = []
+    for label, no_clause_parent, no_atom_parent in reversed(shapes):
+        clause_parent = None if no_clause_parent else stack.pop()
+        atom_parent = None if no_atom_parent else stack.pop()
+        stack.append(ProofTree(label, clause_parent, atom_parent))
+    return stack.pop()
+
+
+def verify_proof(tree: ProofTree, program: Program) -> Clause:
     """Check a proof tree against `program` and return its root guarded atom.
 
-    Every leaf must be the guarded image of a program clause, looked up
-    among the clauses of its head, every inner node must be labeled with
-    the resolvent of its two parents, and the root must be fully resolved.  The root guard is also audited against
-    the union of all leaf guards, which equality resolution guarantees.
-    Each check reads one node and its parents only, so one pre-order pass
-    does them all.  Raises ProofError on any violation.
+    Every leaf must be a program clause, looked up among the clauses of
+    its head, every inner node must be labeled with the resolvent of its
+    two parents, and the root must be fully resolved.  The root guard is
+    also audited against the union of all leaf guards, which equality
+    resolution guarantees.  Each check reads one node and its parents
+    only, so one pre-order pass does them all.  Raises ProofError on any
+    violation.
     """
     leaf_union: set[int] = set()
     for node in tree.nodes():
@@ -146,10 +151,9 @@ def verify_proof(tree: ProofTree, program: Program) -> GuardedClause:
         clause_parent = node.clause_parent
         atom_parent = node.atom_parent
         if clause_parent is None and atom_parent is None:
-            clause = Clause(label.head, label.body, label.guard)
-            if clause not in program.clauses_for(label.head):
+            if label not in program.clauses_for(label.head):
                 raise ProofError(f"leaf {label} is not the image of a program clause")
-            leaf_union |= label.guard
+            leaf_union |= label.neg_body
             continue
         if clause_parent is None or atom_parent is None:
             raise ProofError("inner node lacks a clause parent or an atom parent")
@@ -160,9 +164,9 @@ def verify_proof(tree: ProofTree, program: Program) -> GuardedClause:
         if label != expected:
             raise ProofError(f"inner node labeled {label}, resolution gives {expected}")
     root = tree.label
-    if root.body:
+    if root.pos_body:
         raise ProofError("root is not fully resolved")
-    if root.guard != leaf_union:
+    if root.neg_body != leaf_union:
         raise ProofError("root guard differs from the union of leaf guards")
     return root
 
@@ -176,10 +180,12 @@ class SupportTable:
     only; the verifying ProofTree of an entry is the first proof of its
     guard in lazy-enumeration order, recovered on demand by `certificates`
     (every entry of an atom, in one enumeration pass); `certificate`
-    picks one entry from it.
+    picks one entry from it.  `derivations` is the derivation count of
+    the saturation that built the table (see `saturate_supports`).
     """
 
-    def __init__(self, program: Program, antichains: dict):
+    def __init__(self, program: Program, antichains: dict, derivations: int):
+        self.derivations = derivations
         self._program = program
         self._chains: dict[int, list[frozenset[int]]] = {
             atom: chain for atom, chain in antichains.items() if chain}
@@ -245,9 +251,7 @@ class SupportTable:
         }
 
 
-def saturate_supports(program: Program, *,
-                      max_supports_per_atom: int = DEFAULT_SUPPORT_CAP,
-                      max_derivations: int | None = None) -> SupportTable:
+def saturate_supports(program: Program) -> SupportTable:
     """Exact minimal-support antichains, by semi-naive saturation.
 
     Purely negative clauses seed their heads.  Every guard inserted into
@@ -262,25 +266,19 @@ def saturate_supports(program: Program, *,
     family of subset-minimal supports.
 
     One derivation is one seed clause or one combination of a popped
-    guard with settled guards, so the count grows with the supports
-    derived, not with the number of passes a naive fixpoint would make.
-    Raises ResourceLimitError when an atom would store more than
-    `max_supports_per_atom` guards (supports can be exponentially many)
-    or when more than `max_derivations` derivations are made.
+    guard with settled guards, so the count the table reports grows with
+    the supports derived, not with the number of passes a naive fixpoint
+    would make.  Raises ResourceLimitError when an atom would store more
+    than `SUPPORT_CAP` guards (supports can be exponentially many).
     """
     antichains: dict[int, list[frozenset[int]]] = {}
     settled: dict[int, list[frozenset[int]]] = {}
     pending: deque[tuple[int, frozenset[int]]] = deque()
     derivations = 0
 
-    def spend() -> None:
+    def insert(atom: int, guard: frozenset[int]) -> None:
         nonlocal derivations
         derivations += 1
-        if max_derivations is not None and derivations > max_derivations:
-            raise ResourceLimitError(
-                f"support saturation exceeded {max_derivations} derivations")
-
-    def insert(atom: int, guard: frozenset[int]) -> None:
         chain = antichains.setdefault(atom, [])
         if any(map(guard.issuperset, chain)):
             return
@@ -288,10 +286,9 @@ def saturate_supports(program: Program, *,
             chain[:] = [s for s in chain if not guard <= s]
             settled[atom] = [s for s in settled[atom] if not guard <= s]
         chain.append(guard)
-        if len(chain) > max_supports_per_atom:
+        if len(chain) > SUPPORT_CAP:
             raise ResourceLimitError(
-                f"atom {program.atoms.name(atom)!r} exceeds "
-                f"{max_supports_per_atom} stored supports")
+                f"atom {program.atoms.name(atom)!r} exceeds {SUPPORT_CAP} stored supports")
         pending.append((atom, guard))
 
     uses: dict[int, list[Clause]] = {}
@@ -301,7 +298,6 @@ def saturate_supports(program: Program, *,
             for atom in clause.pos_body:
                 uses.setdefault(atom, []).append(clause)
         else:
-            spend()
             insert(clause.head, clause.neg_body)
     while pending:
         atom, guard = pending.popleft()
@@ -311,17 +307,15 @@ def saturate_supports(program: Program, *,
             base = clause.neg_body | guard
             if len(clause.pos_body) == 1:
                 # Nothing to combine with: the popped guard is the one combination.
-                spend()
                 insert(clause.head, base)
                 continue
             pools = [settled.get(b, ()) for b in clause.pos_body if b != atom]
             if not all(pools):
                 continue
             for combo in product(*pools):
-                spend()
                 insert(clause.head, base.union(*combo))
         settled[atom].append(guard)
-    return SupportTable(program, antichains)
+    return SupportTable(program, antichains, derivations)
 
 
 def _derive(target: int, clauses_for: Callable[[int], tuple[Clause, ...]],
@@ -337,7 +331,7 @@ def _derive(target: int, clauses_for: Callable[[int], tuple[Clause, ...]],
         pos_body = clause.pos_body
         if not pos_body.isdisjoint(branch):
             continue
-        leaf = ProofTree(translate(clause))
+        leaf = ProofTree(clause)
         if not pos_body:
             yield leaf
             continue
@@ -400,7 +394,7 @@ def enumerate_supports(program: Program,
         elif item is None:
             return
         else:
-            yield item.label.guard, item
+            yield item.label.neg_body, item
 
 
 def format_proof(tree: ProofTree, table: AtomTable) -> str:
@@ -411,9 +405,9 @@ def format_proof(tree: ProofTree, table: AtomTable) -> str:
     while stack:
         node, depth = stack.pop()
         label = node.label
-        guard = ", ".join([names[a] for a in sorted(label.guard)])
-        if label.body:
-            body = ", ".join([names[a] for a in sorted(label.body)])
+        guard = ", ".join([names[a] for a in sorted(label.neg_body)])
+        if label.pos_body:
+            body = ", ".join([names[a] for a in sorted(label.pos_body)])
             lines.append(f"{depth}| {names[label.head]} <- {body} : {{{guard}}}")
         else:
             lines.append(f"{depth}| {names[label.head]} : {{{guard}}}")
@@ -438,9 +432,9 @@ def proof_to_sexp(tree: ProofTree, table: AtomTable) -> str:
             stack.extend((")", item.atom_parent, " ", item.clause_parent))
             parts.append("(step ")
             continue
-        guard = " ".join(table.name(a) for a in sorted(label.guard))
-        if label.body:
-            body = " ".join(table.name(a) for a in sorted(label.body))
+        guard = " ".join(table.name(a) for a in sorted(label.neg_body))
+        if label.pos_body:
+            body = " ".join(table.name(a) for a in sorted(label.pos_body))
             parts.append(f"(clause {table.name(label.head)} ({body}) ({guard}))")
         else:
             parts.append(f"(atom {table.name(label.head)} ({guard}))")
@@ -492,7 +486,7 @@ def proof_from_sexp(text: str, table: AtomTable) -> ProofTree:
         body = atom_set() if kind == "clause" else frozenset()
         guard = atom_set()
         take(")")
-        node = ProofTree(GuardedClause(head, body, guard))
+        node = ProofTree(Clause(head, body, guard))
         while open_steps:
             parents = open_steps[-1]
             parents.append(node)

@@ -4,7 +4,8 @@ This module is the slow-but-obviously-correct side of the package.  The
 reduct/least-model route *defines* stability, brute-force subset
 enumeration provides the oracle every other engine is checked against,
 and rank functions certify stability (levels) or syntactic acyclicity
-(tightness).
+(tightness).  A reduct is a `Program` too: the clauses whose guard (the
+negative body) the interpretation avoids, each with its guard dropped.
 """
 
 from __future__ import annotations
@@ -12,58 +13,39 @@ from __future__ import annotations
 from collections import defaultdict
 
 from .core import (
-    AtomTable,
+    Clause,
     Program,
-    Record,
     ResourceLimitError,
     all_interpretations,
     satisfies_program,
-    set_field,
 )
 
-# Partial map atom id -> natural number.
-RankFunction = dict
+# Most atoms brute-force enumeration takes on; read at call time.
+BRUTE_FORCE_CAP = 20
 
 
-class HornClause(Record):
-    __slots__ = ("head", "body")
-
-    def __init__(self, head: int, body: frozenset[int]):
-        set_field(self, "head", head)
-        set_field(self, "body", body)
-
-
-class HornProgram(Record):
-    """Definite clauses only; what survives a reduct."""
-
-    __slots__ = ("atoms", "clauses")
-
-    def __init__(self, atoms: AtomTable, clauses: tuple[HornClause, ...]):
-        set_field(self, "atoms", atoms)
-        set_field(self, "clauses", clauses)
-
-
-def gl_reduct(program: Program, members: frozenset[int]) -> HornProgram:
+def gl_reduct(program: Program, members: frozenset[int]) -> Program:
     """Drop clauses whose negative body meets `members`; strip the rest."""
-    kept = tuple(
-        HornClause(c.head, c.pos_body)
+    kept = [
+        Clause(c.head, c.pos_body, frozenset())
         for c in program.clauses
-        if not (c.neg_body & members))
-    return HornProgram(program.atoms, kept)
+        if not (c.neg_body & members)]
+    return Program(program.atoms, kept)
 
 
-def derivation_levels(horn: HornProgram) -> dict:
+def derivation_levels(horn: Program) -> dict:
     """First forward-chaining round per derivable atom, facts at round 0.
 
-    Counter-based unit propagation: each clause keeps a count of
-    still-underived body atoms and fires when it reaches zero, so the
-    whole computation is linear in total body size.
+    Negative bodies are not read: `horn` is a reduct.  Counter-based unit
+    propagation: each clause keeps a count of still-underived body atoms
+    and fires when it reaches zero, so the whole computation is linear in
+    total body size.
     """
     clauses = horn.clauses
-    remaining = [len(c.body) for c in clauses]
+    remaining = [len(c.pos_body) for c in clauses]
     occurs: dict[int, list[int]] = defaultdict(list)
     for idx, clause in enumerate(clauses):
-        for atom in clause.body:
+        for atom in clause.pos_body:
             occurs[atom].append(idx)
     level: dict = {}
     frontier: list[int] = []
@@ -87,7 +69,7 @@ def derivation_levels(horn: HornProgram) -> dict:
     return level
 
 
-def least_model(horn: HornProgram) -> frozenset[int]:
+def least_model(horn: Program) -> frozenset[int]:
     """Least fixpoint of the one-step provability operator."""
     return frozenset(derivation_levels(horn))
 
@@ -100,16 +82,16 @@ def is_stable(program: Program, members: frozenset[int]) -> bool:
     return gl_operator(program, members) == members
 
 
-def brute_force_stable(program: Program, cap: int = 20) -> list[frozenset[int]]:
+def brute_force_stable(program: Program) -> list[frozenset[int]]:
     """All stable models, in ascending bitmask order over atom ids.
 
-    Refuses programs with more than `cap` atoms: this is the exhaustive
-    oracle, not a solver.
+    Refuses programs with more than `BRUTE_FORCE_CAP` atoms: this is the
+    exhaustive oracle, not a solver.
     """
     n = len(program.atoms)
-    if n > cap:
+    if n > BRUTE_FORCE_CAP:
         raise ResourceLimitError(
-            f"brute-force enumeration over {n} atoms exceeds the cap of {cap}")
+            f"brute-force enumeration over {n} atoms exceeds the cap of {BRUTE_FORCE_CAP}")
     return [m for m in all_interpretations(n) if is_stable(program, m)]
 
 

@@ -42,9 +42,9 @@ def support_subequation(program: Program, atom: int, guard: frozenset[int],
                         proof: ProofTree) -> Equation:
     """`p <-> -S` for one support, once its proof is certified against the program."""
     root = verify_proof(proof, program)
-    if root.head != atom or root.guard != guard:
+    if root.head != atom or root.neg_body != guard:
         raise ProofError(
-            f"proof concludes atom id {root.head} with guard {sorted(root.guard)}, "
+            f"proof concludes atom id {root.head} with guard {sorted(root.neg_body)}, "
             f"expected atom id {atom} with guard {sorted(guard)}")
     return Equation(atom, (guard,), (proof,))
 

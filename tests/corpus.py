@@ -31,7 +31,6 @@ from guardres import (
 )
 from guardres.core import ResourceLimitError, interpretation_key
 from guardres.guarded import (
-    GuardedClause,
     ProofTree,
     SupportTable,
     enumerate_supports,
@@ -390,7 +389,7 @@ def reference_saturate_supports(program: Program, *,
                 spend()
                 if insert(clause.head, clause.neg_body.union(*combo)):
                     changed = True
-    return SupportTable(program, antichains)
+    return SupportTable(program, antichains, derivations)
 
 
 def reference_enumerate_supports(program: Program, atom: int):
@@ -401,7 +400,7 @@ def reference_enumerate_supports(program: Program, atom: int):
         for clause in program.clauses_for(target):
             if clause.pos_body & blocked:
                 continue
-            leaf = ProofTree(GuardedClause(target, clause.pos_body, clause.neg_body))
+            leaf = ProofTree(Clause(target, clause.pos_body, clause.neg_body))
             if not clause.pos_body:
                 yield clause.neg_body, leaf
                 continue
@@ -409,7 +408,7 @@ def reference_enumerate_supports(program: Program, atom: int):
 
     def expand(subtree: ProofTree, body: list, index: int, blocked: frozenset):
         if index == len(body):
-            yield subtree.label.guard, subtree
+            yield subtree.label.neg_body, subtree
             return
         for _, sub_proof in derive(body[index], blocked):
             label = guarded_resolve(subtree.label, sub_proof.label)
@@ -427,11 +426,11 @@ def reference_format_proof(tree: ProofTree, table: AtomTable) -> str:
 
     def emit(node: ProofTree, depth: int):
         label = node.label
-        if label.body:
-            yield (f"{depth}| {table.name(label.head)} <- {names(label.body)} : "
-                   f"{{{names(label.guard)}}}\n")
+        if label.pos_body:
+            yield (f"{depth}| {table.name(label.head)} <- {names(label.pos_body)} : "
+                   f"{{{names(label.neg_body)}}}\n")
         else:
-            yield f"{depth}| {table.name(label.head)} : {{{names(label.guard)}}}\n"
+            yield f"{depth}| {table.name(label.head)} : {{{names(label.neg_body)}}}\n"
         for parent in (node.clause_parent, node.atom_parent):
             if parent is not None:
                 yield from emit(parent, depth + 1)

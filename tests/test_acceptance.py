@@ -13,6 +13,7 @@ import pytest
 
 from guardres import (
     AtomTable,
+    Clause,
     CnfTheory,
     SolveStats,
     all_interpretations,
@@ -39,7 +40,6 @@ from guardres import (
 )
 from guardres.cli import run as cli_run
 from guardres.core import interpretation_key
-from guardres.guarded import GuardedClause
 from guardres.sat import clause_satisfied, equation_to_cnf
 from guardres.solver import STATE_BOUND_FACTOR
 
@@ -242,23 +242,23 @@ def test_criterion_09_proof_certificates_reverify(corpus):
             for atom in range(len(program.atoms)):
                 for guard, tree in enumerate_supports(program, atom):
                     root = verify_proof(tree, program)
-                    assert root == GuardedClause(atom, frozenset(), guard)
+                    assert root == Clause(atom, frozenset(), guard)
                     leaf_union = frozenset()
                     for leaf in tree.leaves():
-                        leaf_union |= leaf.label.guard
-                    assert root.guard == leaf_union
+                        leaf_union |= leaf.label.neg_body
+                    assert root.neg_body == leaf_union
                     checked += 1
             table = saturate_supports(program)
             for atom, chain in table.items():
                 for guard in chain:
                     root = verify_proof(table.certificate(atom, guard), program)
-                    assert root == GuardedClause(atom, frozenset(), guard)
+                    assert root == Clause(atom, frozenset(), guard)
                     checked += 1
             for _, candidate in solve_stable(program):
                 for se in candidate.subequations:
                     for guard, proof in zip(se.supports, se.proofs):
                         assert verify_proof(proof, program) == \
-                            GuardedClause(se.atom, frozenset(), guard)
+                            Clause(se.atom, frozenset(), guard)
                         checked += 1
         assert checked > 0
 

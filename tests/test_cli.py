@@ -117,6 +117,17 @@ def test_supports_proofs_golden_example(example_file, capsys):
     assert capsys.readouterr().out == (GOLDEN / "example_proofs.txt").read_text()
 
 
+@pytest.mark.parametrize("argv, golden", [
+    (["negate"], "example_negate.txt"),
+    (["completion"], "example_completion.txt"),
+    (["check-model", "--model", "{p, q, t}"], "example_check_model_stable.txt"),
+    (["check-model", "--model", "{p, t}"], "example_check_model_unstable.txt"),
+], ids=["negate", "completion", "check-model-stable", "check-model-unstable"])
+def test_example_golden(example_file, capsys, argv, golden):
+    assert run([argv[0], example_file, *argv[1:]]) == 0
+    assert capsys.readouterr().out == (GOLDEN / golden).read_text()
+
+
 def test_solve_certs_requires_candidate_engine(example_file, capsys):
     assert run(["solve", example_file, "--certs", "--engine", "brute"]) == 2
 

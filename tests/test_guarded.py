@@ -1,4 +1,6 @@
+import copy
 import gc
+import pickle
 import random
 from itertools import islice
 
@@ -6,12 +8,14 @@ import pytest
 from hypothesis import given, settings
 
 from guardres import (
-    GuardedClause,
+    Clause,
+    Equation,
     ProofError,
     ProofTree,
     ResourceLimitError,
     admits,
     all_interpretations,
+    dung_transform,
     enumerate_supports,
     format_proof,
     gl_operator,
@@ -19,9 +23,9 @@ from guardres import (
     proof_from_sexp,
     proof_to_sexp,
     saturate_supports,
-    translate,
     verify_proof,
 )
+from guardres import guarded
 
 from corpus import (
     check_guarded_layer,
@@ -45,68 +49,58 @@ def _support_names(program, table):
     }
 
 
-def test_translate_examples():
-    program = example_program()
-    first, second, third, fact = program.clauses
-    assert translate(first) == GuardedClause(
-        first.head, first.pos_body, first.neg_body)
-    assert translate(fact).body == frozenset()
-    assert translate(fact).guard == frozenset()
-    assert names_of(program, translate(third).guard) == {"s"}
-
-
 def test_guarded_resolve_examples():
     program = example_program()
     p, t, q, r = (program.atoms.id_of(n) for n in "ptqr")
-    clause = GuardedClause(p, frozenset([t]), frozenset([q]))
-    resolved = guarded_resolve(clause, GuardedClause(t, frozenset(), frozenset()))
-    assert resolved == GuardedClause(p, frozenset(), frozenset([q]))
+    clause = Clause(p, frozenset([t]), frozenset([q]))
+    resolved = guarded_resolve(clause, Clause(t, frozenset(), frozenset()))
+    assert resolved == Clause(p, frozenset(), frozenset([q]))
 
-    wide = GuardedClause(p, frozenset([t, q]), frozenset([r]))
-    step = guarded_resolve(wide, GuardedClause(t, frozenset(), frozenset([4])))
-    assert step == GuardedClause(p, frozenset([q]), frozenset([r, 4]))
+    wide = Clause(p, frozenset([t, q]), frozenset([r]))
+    step = guarded_resolve(wide, Clause(t, frozenset(), frozenset([4])))
+    assert step == Clause(p, frozenset([q]), frozenset([r, 4]))
 
     with pytest.raises(ValueError):
-        guarded_resolve(GuardedClause(p, frozenset([q]), frozenset([r])),
-                        GuardedClause(t, frozenset(), frozenset()))
+        guarded_resolve(Clause(p, frozenset([q]), frozenset([r])),
+                        Clause(t, frozenset(), frozenset()))
 
 
 def test_admits_examples():
     program = example_program()
     model = members_of(program, "p", "q", "t")
     p, q, r = (program.atoms.id_of(n) for n in "pqr")
-    assert admits(model, GuardedClause(p, frozenset(), frozenset([r])))
-    assert not admits(model, GuardedClause(p, frozenset(), frozenset([q])))
-    assert admits(model, GuardedClause(p, frozenset(), frozenset()))
+    assert admits(model, Clause(p, frozenset(), frozenset([r])))
+    assert not admits(model, Clause(p, frozenset(), frozenset([q])))
+    assert admits(model, Clause(p, frozenset(), frozenset()))
 
 
 def _two_leaf_proof(program):
     p, t, q = (program.atoms.id_of(n) for n in "ptq")
-    clause_leaf = ProofTree(GuardedClause(p, frozenset([t]), frozenset([q])))
-    atom_leaf = ProofTree(GuardedClause(t, frozenset(), frozenset()))
-    return ProofTree(GuardedClause(p, frozenset(), frozenset([q])),
+    clause_leaf = ProofTree(Clause(p, frozenset([t]), frozenset([q])))
+    atom_leaf = ProofTree(Clause(t, frozenset(), frozenset()))
+    return ProofTree(Clause(p, frozenset(), frozenset([q])),
                      clause_parent=clause_leaf, atom_parent=atom_leaf)
 
 
 def test_verify_single_node_proof():
     program = example_program()
     q, s = program.atoms.id_of("q"), program.atoms.id_of("s")
-    tree = ProofTree(GuardedClause(q, frozenset(), frozenset([s])))
-    assert verify_proof(tree, program) == GuardedClause(q, frozenset(), frozenset([s]))
+    tree = ProofTree(Clause(q, frozenset(), frozenset([s])))
+    assert verify_proof(tree, program) == Clause(q, frozenset(), frozenset([s]))
 
 
 def test_verify_two_leaf_proof():
     program = example_program()
     root = verify_proof(_two_leaf_proof(program), program)
-    assert names_of(program, root.guard) == {"q"}
+    assert names_of(program, root.neg_body) == {"q"}
 
 
 def test_verify_rejects_corrupt_inner_label():
     program = example_program()
     p, t, q, r = (program.atoms.id_of(n) for n in "ptqr")
-    clause_leaf = ProofTree(GuardedClause(p, frozenset([t]), frozenset([q])))
-    atom_leaf = ProofTree(GuardedClause(t, frozenset(), frozenset()))
-    corrupt = ProofTree(GuardedClause(p, frozenset(), frozenset([q, r])),  # wrong guard union
+    clause_leaf = ProofTree(Clause(p, frozenset([t]), frozenset([q])))
+    atom_leaf = ProofTree(Clause(t, frozenset(), frozenset()))
+    corrupt = ProofTree(Clause(p, frozenset(), frozenset([q, r])),  # wrong guard union
                         clause_parent=clause_leaf, atom_parent=atom_leaf)
     with pytest.raises(ProofError):
         verify_proof(corrupt, program)
@@ -116,26 +110,26 @@ def test_verify_rejects_foreign_leaf():
     program = example_program()
     p = program.atoms.id_of("p")
     with pytest.raises(ProofError):
-        verify_proof(ProofTree(GuardedClause(p, frozenset(), frozenset())), program)
+        verify_proof(ProofTree(Clause(p, frozenset(), frozenset())), program)
 
 
 def test_verify_rejects_unresolved_root():
     program = example_program()
     first = program.clauses[0]
     with pytest.raises(ProofError):
-        verify_proof(ProofTree(translate(first)), program)
+        verify_proof(ProofTree(first), program)
 
 
 def _faulty_proof(program, fault):
     """A hand-made tree over the worked example with one `verify_proof` fault."""
     p, t, q, r, s = (program.atoms.id_of(n) for n in "ptqrs")
-    clause_leaf = ProofTree(GuardedClause(p, frozenset([t]), frozenset([q])))
-    t_leaf = ProofTree(GuardedClause(t, frozenset(), frozenset()))
-    resolved = GuardedClause(p, frozenset(), frozenset([q]))
+    clause_leaf = ProofTree(Clause(p, frozenset([t]), frozenset([q])))
+    t_leaf = ProofTree(Clause(t, frozenset(), frozenset()))
+    resolved = Clause(p, frozenset(), frozenset([q]))
     if fault == "foreign atom leaf":
-        return ProofTree(GuardedClause(p, frozenset(), frozenset()))
+        return ProofTree(Clause(p, frozenset(), frozenset()))
     if fault == "foreign clause leaf":
-        return ProofTree(GuardedClause(p, frozenset([q]), frozenset()))
+        return ProofTree(Clause(p, frozenset([q]), frozenset()))
     if fault == "clause parent resolved":
         return ProofTree(resolved, clause_parent=t_leaf, atom_parent=t_leaf)
     if fault == "atom parent with body":
@@ -143,10 +137,10 @@ def _faulty_proof(program, fault):
     if fault == "missing parent":
         return ProofTree(resolved, clause_parent=clause_leaf)
     if fault == "wrong inner label":
-        return ProofTree(GuardedClause(p, frozenset(), frozenset([q, r])),
+        return ProofTree(Clause(p, frozenset(), frozenset([q, r])),
                          clause_parent=clause_leaf, atom_parent=t_leaf)
     if fault == "atom not in body":
-        q_leaf = ProofTree(GuardedClause(q, frozenset(), frozenset([s])))
+        q_leaf = ProofTree(Clause(q, frozenset(), frozenset([s])))
         return ProofTree(resolved, clause_parent=clause_leaf, atom_parent=q_leaf)
     assert fault == "unresolved root"
     return clause_leaf
@@ -197,16 +191,18 @@ def test_saturate_antichain_is_minimal():
     assert _support_names(program, table)["p"] == {frozenset({"q"}), frozenset({"q", "r"})} - {frozenset({"q", "r"})}
 
 
-def test_saturate_support_cap():
+def test_saturate_support_cap(monkeypatch):
     program = prog("p :- not a.\np :- not b.\np :- not c.\np :- not d.")
+    monkeypatch.setattr(guarded, "SUPPORT_CAP", 3)
     with pytest.raises(ResourceLimitError):
-        saturate_supports(program, max_supports_per_atom=3)
+        saturate_supports(program)
+    monkeypatch.setattr(guarded, "SUPPORT_CAP", 4)
+    assert len(saturate_supports(program).supports(program.atoms.id_of("p"))) == 4
 
 
 def test_saturate_derivation_cap():
-    program = example_program()
-    with pytest.raises(ResourceLimitError):
-        saturate_supports(program, max_derivations=2)
+    # Three seed clauses, and t's guard combined once into p :- t, not q.
+    assert saturate_supports(example_program()).derivations == 4
 
 
 def test_saturate_reversed_chain_is_linear():
@@ -215,7 +211,8 @@ def test_saturate_reversed_chain_is_linear():
     # changes makes one pass per level, about levels^2 / 2 combinations.
     levels = 400
     program = prog(reversed_chain_text(levels))
-    table = saturate_supports(program, max_derivations=2 * levels)
+    table = saturate_supports(program)
+    assert table.derivations <= 2 * levels
     top = program.atoms.id_of(f"a{levels}")
     assert table.supports(top) == (frozenset(),)
     with pytest.raises(ResourceLimitError):
@@ -226,7 +223,8 @@ def test_saturate_skips_evicted_guards():
     # q's first guard {r, s} is evicted by {r} before it is combined, so
     # p only ever stores the combination with the smaller guard.
     program = prog("q :- not r, not s.\nq :- not r.\np :- q, not t.")
-    table = saturate_supports(program, max_derivations=3)
+    table = saturate_supports(program)
+    assert table.derivations == 3
     assert _support_names(program, table) == {
         "p": {frozenset({"r", "t"})},
         "q": {frozenset({"r"})},
@@ -256,7 +254,7 @@ def test_enumerate_chained_support():
     guard, tree = yields[0]
     assert names_of(program, guard) == {"r", "s"}
     assert tree.size() == 3
-    assert verify_proof(tree, program) == GuardedClause(p, frozenset(), guard)
+    assert verify_proof(tree, program) == Clause(p, frozenset(), guard)
 
 
 def test_enumerate_terminates_under_positive_loops():
@@ -275,15 +273,15 @@ def test_enumerate_certificates_verify_and_admit():
         for atom in range(len(program.atoms)):
             for guard, tree in islice(enumerate_supports(program, atom), 200):
                 root = verify_proof(tree, program)
-                assert root == GuardedClause(atom, frozenset(), guard)
+                assert root == Clause(atom, frozenset(), guard)
                 leaf_union = frozenset()
                 for leaf in tree.leaves():
-                    leaf_union |= leaf.label.guard
-                assert leaf_union == root.guard
+                    leaf_union |= leaf.label.neg_body
+                assert leaf_union == root.neg_body
                 for members in all_interpretations(len(program.atoms)):
                     if admits(members, root):
                         assert all(
-                            not (members & node.label.guard)
+                            not (members & node.label.neg_body)
                             for node in tree.nodes())
 
 
@@ -322,7 +320,7 @@ def test_certificate_lookup_matches_table():
     p = program.atoms.id_of("p")
     for guard in table.supports(p):
         tree = table.certificate(p, guard)
-        assert verify_proof(tree, program) == GuardedClause(p, frozenset(), guard)
+        assert verify_proof(tree, program) == Clause(p, frozenset(), guard)
     with pytest.raises(KeyError):
         table.certificate(p, frozenset([p]))
 
@@ -365,18 +363,19 @@ def _with_leaf(tree, leaf, label):
 
 
 def _foreign_labels(program, label):
-    """Up to three near misses of a leaf label that no program clause translates to.
+    """Up to three near misses of a leaf label that is no program clause.
 
     One guard atom added, one body atom dropped, and the guarded atom of
     an atom that heads no clause; a kind with no foreign member is skipped.
     """
     atoms = range(len(program.atoms))
-    images = set(map(translate, program.clauses))
+    images = set(program.clauses)
     kinds = (
-        [GuardedClause(label.head, label.body, label.guard | {a})
-         for a in atoms if a not in label.guard],
-        [GuardedClause(label.head, label.body - {b}, label.guard) for b in sorted(label.body)],
-        [GuardedClause(a, frozenset(), frozenset()) for a in atoms if not program.clauses_for(a)],
+        [Clause(label.head, label.pos_body, label.neg_body | {a})
+         for a in atoms if a not in label.neg_body],
+        [Clause(label.head, label.pos_body - {b}, label.neg_body)
+         for b in sorted(label.pos_body)],
+        [Clause(a, frozenset(), frozenset()) for a in atoms if not program.clauses_for(a)],
     )
     for kind in kinds:
         foreign = [candidate for candidate in kind if candidate not in images]
@@ -389,7 +388,7 @@ def _foreign_labels(program, label):
 def test_verify_checks_each_leaf_against_its_head_property(program):
     for atom in range(len(program.atoms)):
         for guard, tree in islice(enumerate_supports(program, atom), 20):
-            assert verify_proof(tree, program) == GuardedClause(atom, frozenset(), guard)
+            assert verify_proof(tree, program) == Clause(atom, frozenset(), guard)
             for leaf in tree.leaves():
                 for label in _foreign_labels(program, leaf.label):
                     with pytest.raises(ProofError, match="is not the image of a program clause"):
@@ -406,14 +405,14 @@ def test_deep_proof_walks_without_recursion():
     assert guard == frozenset()
     assert tree.size() == 2 * levels + 1
     assert sum(1 for _ in tree.leaves()) == levels + 1
-    assert verify_proof(tree, program) == GuardedClause(top, frozenset(), guard)
+    assert verify_proof(tree, program) == Clause(top, frozenset(), guard)
     text = format_proof(tree, program.atoms)
     assert text.startswith(f"0| a{levels} : {{}}\n1| a{levels} <- a{levels - 1} : {{}}\n")
     assert text.endswith(f"{levels}| a1 <- a0 : {{}}\n{levels}| a0 : {{}}\n")
     sexp = proof_to_sexp(tree, program.atoms)
     rebuilt = proof_from_sexp(sexp, program.atoms)
     assert proof_to_sexp(rebuilt, program.atoms) == sexp
-    assert verify_proof(rebuilt, program) == GuardedClause(top, frozenset(), guard)
+    assert verify_proof(rebuilt, program) == Clause(top, frozenset(), guard)
 
 
 def test_deep_proof_equality_hash_and_repr():
@@ -426,12 +425,42 @@ def test_deep_proof_equality_hash_and_repr():
     assert first == second
     assert hash(first) == hash(second)
     assert repr(first) == repr(second) == (
-        f"ProofTree(GuardedClause(head={top}, body=frozenset(), guard=frozenset()), "
+        f"ProofTree(Clause(head={top}, pos_body=frozenset(), neg_body=frozenset()), "
         f"size={2 * levels + 1})")
     assert first != first.atom_parent
     cut = ProofTree(first.label, clause_parent=first.clause_parent,
                     atom_parent=ProofTree(first.atom_parent.label))
     assert first != cut and cut != first
+
+
+def test_deep_proof_copies_and_pickles():
+    # Each node hands copy and pickle the flat pre-order of its shapes, so
+    # neither recurses once per level.
+    levels = 3000
+    program = prog("a0.\n" + "".join(f"a{i + 1} :- a{i}.\n" for i in range(levels)))
+    top = program.atoms.id_of(f"a{levels}")
+    tree = saturate_supports(program).certificates(top)[frozenset()]
+    assert tree.size() == 2 * levels + 1
+    assert copy.copy(tree) == tree
+    assert copy.deepcopy(tree) == tree
+    assert pickle.loads(pickle.dumps(tree)) == tree
+    equation = Equation(top, (frozenset(),), (tree,))
+    assert copy.deepcopy(equation) == equation
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_programs())
+def test_guarded_atoms_are_the_negative_program_property(program):
+    # A guarded atom p : S is the clause p :- not S, so the roots of the
+    # stored supports' proofs are exactly the clauses `negate` prints.
+    table = saturate_supports(program)
+    negative = dung_transform(program)
+    for atom in range(len(program.atoms)):
+        proofs = table.certificates(atom)
+        assert {tree.label for tree in proofs.values()} == set(negative.clauses_for(atom))
+        for tree in proofs.values():
+            for leaf in tree.leaves():
+                assert leaf.label in program.clauses_for(leaf.label.head)
 
 
 def test_lazy_search_leaves_no_garbage_cycles():
@@ -473,7 +502,7 @@ def test_proof_sexp_roundtrip():
     for guard, proof in enumerate_supports(program, q):
         rebuilt = proof_from_sexp(proof_to_sexp(proof, program.atoms), program.atoms)
         assert rebuilt == proof
-        assert verify_proof(rebuilt, program) == GuardedClause(q, frozenset(), guard)
+        assert verify_proof(rebuilt, program) == Clause(q, frozenset(), guard)
 
 
 def test_proof_sexp_truncated_input_is_value_error():

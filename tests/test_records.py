@@ -16,9 +16,6 @@ from guardres import (
     Clause,
     CompletionTheory,
     Equation,
-    GuardedClause,
-    HornClause,
-    HornProgram,
     Program,
     ProofError,
     ProofTree,
@@ -28,6 +25,7 @@ from guardres import (
     candidate_theories,
     candidate_theory,
     gl_reduct,
+    guarded_resolve,
     verify_proof,
 )
 
@@ -39,35 +37,36 @@ def _records():
     program = example_program()
     first = next(candidate_theories(program))
     a, b = frozenset([1]), frozenset([2])
-    leaf = GuardedClause(3, frozenset(), frozenset())
+    leaf = Clause(3, frozenset(), frozenset())
     reduct = gl_reduct(program, frozenset())
     completion = build_completion(program)
     return [
         ("Clause", ("head", "pos_body", "neg_body"), lambda: Clause(0, a, b), Clause(0, b, a),
          "Clause(head=0, pos_body=frozenset({1}), neg_body=frozenset({2}))"),
-        # A guarded atom `p : S` is a guarded clause with an empty body.
-        ("GuardedAtom", ("head", "body", "guard"), lambda: GuardedClause(0, frozenset(), a),
-         GuardedClause(0, frozenset(), b),
-         "GuardedClause(head=0, body=frozenset(), guard=frozenset({1}))"),
-        ("GuardedClause", ("head", "body", "guard"), lambda: GuardedClause(0, a, b),
-         GuardedClause(0, b, a),
-         "GuardedClause(head=0, body=frozenset({1}), guard=frozenset({2}))"),
+        # Guarded clauses, guarded atoms and reduct clauses are all Clauses.
+        # A guarded atom `p : S` is the clause `p :- not S`.
+        ("GuardedAtom", ("head", "pos_body", "neg_body"), lambda: Clause(0, frozenset(), a),
+         Clause(0, frozenset(), b),
+         "Clause(head=0, pos_body=frozenset(), neg_body=frozenset({1}))"),
+        # A resolvent with a positive body left.
+        ("GuardedClause", ("head", "pos_body", "neg_body"),
+         lambda: guarded_resolve(Clause(0, a | {3}, b), Clause(3, frozenset(), frozenset())),
+         guarded_resolve(Clause(0, a | {3}, b), Clause(3, frozenset(), a)),
+         "Clause(head=0, pos_body=frozenset({1}), neg_body=frozenset({2}))"),
         ("ProofTree", ("label", "clause_parent", "atom_parent"),
-         lambda: ProofTree(GuardedClause(0, frozenset(), a), atom_parent=ProofTree(leaf)),
-         ProofTree(GuardedClause(0, frozenset(), a)),
-         "ProofTree(GuardedClause(head=0, body=frozenset(), guard=frozenset({1})), size=2)"),
+         lambda: ProofTree(Clause(0, frozenset(), a), atom_parent=ProofTree(leaf)),
+         ProofTree(Clause(0, frozenset(), a)),
+         "ProofTree(Clause(head=0, pos_body=frozenset(), neg_body=frozenset({1})), size=2)"),
         ("SourceSpan", ("line", "column"), lambda: SourceSpan(1, 2), SourceSpan(2, 1),
          "SourceSpan(line=1, column=2)"),
-        ("HornClause", ("head", "body"), lambda: HornClause(0, a), HornClause(0, b),
-         "HornClause(head=0, body=frozenset({1}))"),
-        ("HornProgram", ("atoms", "clauses"),
-         lambda: HornProgram(program.atoms, reduct.clauses),
-         HornProgram(program.atoms, reduct.clauses[1:]),
-         f"HornProgram(atoms={program.atoms!r}, clauses={reduct.clauses!r})"),
+        # A clause of a reduct has an empty negative body: `p :- t, not q` gives `p :- t`.
+        ("HornClause", ("head", "pos_body", "neg_body"),
+         lambda: gl_reduct(program, frozenset()).clauses[0], reduct.clauses[1],
+         "Clause(head=0, pos_body=frozenset({1}), neg_body=frozenset())"),
         ("Equation", ("atom", "supports", "proofs"),
          lambda: Equation(0, (a,), (ProofTree(leaf),)), Equation(0, (a,)),
          "Equation(atom=0, supports=(frozenset({1}),), proofs=(ProofTree("
-         "GuardedClause(head=3, body=frozenset(), guard=frozenset()), size=1),))"),
+         "Clause(head=3, pos_body=frozenset(), neg_body=frozenset()), size=1),))"),
         ("CompletionTheory", ("program", "equations"),
          lambda: CompletionTheory(program, completion.equations),
          CompletionTheory(program, completion.equations[1:]),
@@ -99,7 +98,7 @@ def test_record_equality_and_hash(fields, build, other, expected):
 
 # ProofTree hashes by shape and CandidateTheory by content, not by their fields.
 @pytest.mark.parametrize("fields, build, other, expected", _only(
-    "Clause", "GuardedAtom", "GuardedClause", "SourceSpan", "HornClause", "HornProgram",
+    "Clause", "GuardedAtom", "GuardedClause", "SourceSpan", "HornClause",
     "Equation", "CompletionTheory"))
 def test_record_hash_is_the_field_tuple_hash(fields, build, other, expected):
     # So a set of records iterates in the same order as it always has.
@@ -136,9 +135,6 @@ def test_record_copy_and_pickle_round_trip(fields, build, other, expected):
 
 
 def test_same_fields_different_type_are_unequal():
-    h, b, g = 0, frozenset([1]), frozenset([2])
-    assert Clause(h, b, g) != GuardedClause(h, b, g)
-    assert GuardedClause(h, b, g) != Clause(h, b, g)
     assert SourceSpan(1, 2) != (1, 2)
 
 
@@ -162,15 +158,15 @@ def test_bad_leaf_message_embeds_label_repr():
     program = example_program()
     p = program.atoms.id_of("p")
     with pytest.raises(ProofError) as caught:
-        verify_proof(ProofTree(GuardedClause(p, frozenset(), frozenset([4]))), program)
+        verify_proof(ProofTree(Clause(p, frozenset(), frozenset([4]))), program)
     assert str(caught.value) == (
-        "leaf GuardedClause(head=0, body=frozenset(), guard=frozenset({4})) "
+        "leaf Clause(head=0, pos_body=frozenset(), neg_body=frozenset({4})) "
         "is not the image of a program clause")
-    clause = GuardedClause(p, frozenset([4]), frozenset())
+    clause = Clause(p, frozenset([4]), frozenset())
     with pytest.raises(ProofError) as caught:
         verify_proof(ProofTree(clause), program)
     assert str(caught.value) == (
-        "leaf GuardedClause(head=0, body=frozenset({4}), guard=frozenset()) "
+        "leaf Clause(head=0, pos_body=frozenset({4}), neg_body=frozenset()) "
         "is not the image of a program clause")
 
 

@@ -4,6 +4,7 @@ import pytest
 
 from guardres import (
     AtomTable,
+    Clause,
     Program,
     ResourceLimitError,
     all_interpretations,
@@ -18,14 +19,15 @@ from guardres import (
     is_tight_on,
     least_model,
 )
-from guardres.semantics import HornClause, HornProgram, derivation_levels
+from guardres import semantics
+from guardres.semantics import derivation_levels
 
 from corpus import example_program, members_of, prog, random_program, random_tight_program
 
 
 def _horn_signature(horn):
     name = horn.atoms.name
-    return {(name(c.head), frozenset(name(a) for a in c.body)) for c in horn.clauses}
+    return {(name(c.head), frozenset(name(a) for a in c.pos_body)) for c in horn.clauses}
 
 
 def test_reduct_worked_example():
@@ -42,7 +44,7 @@ def test_reduct_of_empty_interpretation_keeps_everything():
     program = example_program()
     reduct = gl_reduct(program, frozenset())
     assert len(reduct.clauses) == len(program.clauses)
-    assert all(not c.body or c.body for c in reduct.clauses)
+    assert all(not c.neg_body for c in reduct.clauses)
     assert _horn_signature(reduct) == {
         ("p", frozenset({"t"})),
         ("p", frozenset()),
@@ -58,28 +60,28 @@ def test_reduct_drops_self_blocking_clause():
 
 def test_least_model_of_facts():
     table = AtomTable(["p", "q", "t"])
-    horn = HornProgram(table, tuple(HornClause(i, frozenset()) for i in range(3)))
+    horn = Program(table, [Clause(i, frozenset(), frozenset()) for i in range(3)])
     assert least_model(horn) == frozenset({0, 1, 2})
 
 
 def test_least_model_empty_program():
-    assert least_model(HornProgram(AtomTable(), ())) == frozenset()
+    assert least_model(Program(AtomTable(), [])) == frozenset()
 
 
 def test_least_model_positive_loop_unproductive():
     table = AtomTable(["a", "b"])
-    horn = HornProgram(table, (HornClause(0, frozenset([1])),
-                               HornClause(1, frozenset([0]))))
+    horn = Program(table, [Clause(0, frozenset([1]), frozenset()),
+                           Clause(1, frozenset([0]), frozenset())])
     assert least_model(horn) == frozenset()
 
 
 def test_derivation_levels_chain():
     table = AtomTable(["a", "b", "c"])
-    horn = HornProgram(table, (
-        HornClause(0, frozenset()),
-        HornClause(1, frozenset([0])),
-        HornClause(2, frozenset([0, 1])),
-    ))
+    horn = Program(table, [
+        Clause(0, frozenset(), frozenset()),
+        Clause(1, frozenset([0]), frozenset()),
+        Clause(2, frozenset([0, 1]), frozenset()),
+    ])
     assert derivation_levels(horn) == {0: 0, 1: 1, 2: 2}
 
 
@@ -120,16 +122,18 @@ def test_brute_force_two_models_in_bitmask_order():
     ]
 
 
-def test_brute_force_cap_refusal():
+def test_brute_force_cap_refusal(monkeypatch):
     table = AtomTable(f"a{i}" for i in range(21))
     program = Program(table, [])
     with pytest.raises(ResourceLimitError):
         brute_force_stable(program)
-    # The cap is an override, in both directions.
+    # The cap is read at call time, in both directions.
     small = Program(AtomTable(["a", "b", "c"]), [])
+    monkeypatch.setattr(semantics, "BRUTE_FORCE_CAP", 2)
     with pytest.raises(ResourceLimitError):
-        brute_force_stable(small, cap=2)
-    assert brute_force_stable(small, cap=3) == [frozenset()]
+        brute_force_stable(small)
+    monkeypatch.setattr(semantics, "BRUTE_FORCE_CAP", 3)
+    assert brute_force_stable(small) == [frozenset()]
 
 
 def test_is_supported_examples():

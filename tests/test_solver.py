@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from guardres import (
     AtomTable,
     CandidateTheory,
+    Clause,
     Equation,
-    GuardedClause,
     Program,
     ProofError,
     ProofTree,
@@ -153,7 +153,7 @@ def test_solve_worked_example_certificate():
     assert "q <-> -s" in text
     for se in candidate.subequations:
         for guard, proof in zip(se.supports, se.proofs):
-            assert verify_proof(proof, program) == GuardedClause(se.atom, frozenset(), guard)
+            assert verify_proof(proof, program) == Clause(se.atom, frozenset(), guard)
 
 
 def test_solve_two_stable_models():
@@ -174,7 +174,7 @@ def test_solve_respects_limit():
 def test_support_subequation_rejects_mismatched_proof():
     program = example_program()
     q, s = program.atoms.id_of("q"), program.atoms.id_of("s")
-    proof = ProofTree(GuardedClause(q, frozenset(), frozenset([s])))
+    proof = ProofTree(Clause(q, frozenset(), frozenset([s])))
     with pytest.raises(ProofError):
         support_subequation(program, q, frozenset(), proof)
     with pytest.raises(ProofError):
