@@ -112,11 +112,6 @@ def _parse_model_arg(program: Program, text: str) -> frozenset[int]:
     return frozenset(members)
 
 
-def _model_sort_key(program: Program):
-    name = program.atoms.name
-    return lambda members: tuple(sorted(name(a) for a in members))
-
-
 def _cmd_solve(args: argparse.Namespace) -> int:
     if args.limit is not None and args.limit < 1:
         raise _CliError("--limit N must be at least 1")
@@ -136,10 +131,14 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         pairs = solve_stable(program, args.limit)
         models = [model for model, _ in pairs]
         certificates = {model: candidate for model, candidate in pairs}
-    for members in sorted(set(models), key=_model_sort_key(program)):
-        print(format_interpretation(program.atoms, members))
+    name = program.atoms.name
+    out: list[str] = []
+    # Distinct models have distinct name lists, so no two frozensets are compared.
+    for names, members in sorted((sorted(map(name, m)), m) for m in set(models)):
+        out.append("{" + ", ".join(names) + "}\n")
         if args.certs:
-            print(format_certificate(program, members, certificates[members]), end="")
+            out.append(format_certificate(program, members, certificates[members]))
+    sys.stdout.write("".join(out))
     return 0 if models else 10
 
 

@@ -114,7 +114,7 @@ class Clause(Record):
 class Program:
     """An ordered, duplicate-free sequence of clauses over a frozen atom table."""
 
-    __slots__ = ("atoms", "clauses", "_by_head")
+    __slots__ = ("atoms", "clauses", "_by_head", "_using")
 
     def __init__(self, atoms: AtomTable, clauses: Iterable[Clause]):
         atoms.freeze()
@@ -132,13 +132,21 @@ class Program:
         self.atoms = atoms
         self.clauses: tuple[Clause, ...] = tuple(kept)
         by_head: dict[int, list[Clause]] = {}
-        for clause in self.clauses:
+        using: dict[int, list[int]] = {}
+        for idx, clause in enumerate(self.clauses):
             by_head.setdefault(clause.head, []).append(clause)
+            for atom_id in clause.pos_body:
+                using.setdefault(atom_id, []).append(idx)
         self._by_head = {head: tuple(cs) for head, cs in by_head.items()}
+        self._using = {atom_id: tuple(ids) for atom_id, ids in using.items()}
 
     def clauses_for(self, atom_id: int) -> tuple[Clause, ...]:
         """Clauses with the given head, in program order."""
         return self._by_head.get(atom_id, ())
+
+    def clauses_using(self, atom_id: int) -> tuple[int, ...]:
+        """Positions in `clauses` of the clauses with the atom in the positive body."""
+        return self._using.get(atom_id, ())
 
     def size(self) -> int:
         """Atom count plus total literal occurrences, heads included."""

@@ -291,19 +291,17 @@ def saturate_supports(program: Program) -> SupportTable:
                 f"atom {program.atoms.name(atom)!r} exceeds {SUPPORT_CAP} stored supports")
         pending.append((atom, guard))
 
-    uses: dict[int, list[Clause]] = {}
-    for clause in program.clauses:
+    clauses = program.clauses
+    for clause in clauses:
         settled.setdefault(clause.head, [])
-        if clause.pos_body:
-            for atom in clause.pos_body:
-                uses.setdefault(atom, []).append(clause)
-        else:
+        if not clause.pos_body:
             insert(clause.head, clause.neg_body)
     while pending:
         atom, guard = pending.popleft()
         if guard not in antichains[atom]:
             continue
-        for clause in uses.get(atom, ()):
+        for idx in program.clauses_using(atom):
+            clause = clauses[idx]
             base = clause.neg_body | guard
             if len(clause.pos_body) == 1:
                 # Nothing to combine with: the popped guard is the one combination.

@@ -4,13 +4,13 @@ This module is the slow-but-obviously-correct side of the package.  The
 reduct/least-model route *defines* stability, brute-force subset
 enumeration provides the oracle every other engine is checked against,
 and rank functions certify stability (levels) or syntactic acyclicity
-(tightness).  A reduct is a `Program` too: the clauses whose guard (the
-negative body) the interpretation avoids, each with its guard dropped.
+(tightness).  The reduct operator Γ takes the reduct as a filter in one
+counter pass and builds no `Program`; `gl_reduct` is the public reading:
+the clauses whose guard (the negative body) the interpretation avoids,
+each with its guard dropped.
 """
 
 from __future__ import annotations
-
-from collections import defaultdict
 
 from .core import (
     Clause,
@@ -33,20 +33,17 @@ def gl_reduct(program: Program, members: frozenset[int]) -> Program:
     return Program(program.atoms, kept)
 
 
-def derivation_levels(horn: Program) -> dict:
-    """First forward-chaining round per derivable atom, facts at round 0.
+def derivation_levels(program: Program, members: frozenset[int] = frozenset()) -> dict:
+    """First forward-chaining round per atom of Γ(members), facts at round 0.
 
-    Negative bodies are not read: `horn` is a reduct.  Counter-based unit
-    propagation: each clause keeps a count of still-underived body atoms
-    and fires when it reaches zero, so the whole computation is linear in
-    total body size.
+    The reduct is a filter: a clause whose negative body meets `members`
+    never fires, and negative bodies are not read otherwise.  Each clause
+    counts its still-underived body atoms and fires at zero, so the pass
+    is linear in total body size.
     """
-    clauses = horn.clauses
-    remaining = [len(c.pos_body) for c in clauses]
-    occurs: dict[int, list[int]] = defaultdict(list)
-    for idx, clause in enumerate(clauses):
-        for atom in clause.pos_body:
-            occurs[atom].append(idx)
+    clauses = program.clauses
+    # -1 marks a clause the reduct drops: counting down never reaches zero.
+    remaining = [-1 if c.neg_body & members else len(c.pos_body) for c in clauses]
     level: dict = {}
     frontier: list[int] = []
     for idx, clause in enumerate(clauses):
@@ -57,7 +54,7 @@ def derivation_levels(horn: Program) -> dict:
     while frontier:
         next_frontier: list[int] = []
         for atom in frontier:
-            for idx in occurs[atom]:
+            for idx in program.clauses_using(atom):
                 remaining[idx] -= 1
                 if remaining[idx] == 0:
                     head = clauses[idx].head
@@ -75,7 +72,8 @@ def least_model(horn: Program) -> frozenset[int]:
 
 
 def gl_operator(program: Program, members: frozenset[int]) -> frozenset[int]:
-    return least_model(gl_reduct(program, members))
+    """Γ(members): the least model of the reduct, in one pass over `program`."""
+    return frozenset(derivation_levels(program, members))
 
 
 def is_stable(program: Program, members: frozenset[int]) -> bool:
@@ -116,7 +114,7 @@ def compute_levels(program: Program, members: frozenset[int]) -> dict | None:
     """
     if not satisfies_program(members, program):
         return None
-    levels = derivation_levels(gl_reduct(program, members))
+    levels = derivation_levels(program, members)
     if frozenset(levels) != members:
         return None
     if not check_levels(program, members, levels):
@@ -170,11 +168,9 @@ def is_tight(program: Program) -> dict | None:
     body; ranks are longest-path depths, so every positive body atom ranks
     strictly below its head.
     """
-    succs: dict[int, set[int]] = {a: set() for a in range(len(program.atoms))}
-    for clause in program.clauses:
-        for q in clause.pos_body:
-            succs[q].add(clause.head)
-    return _ranks(succs)
+    clauses = program.clauses
+    return _ranks({q: {clauses[idx].head for idx in program.clauses_using(q)}
+                   for q in range(len(program.atoms))})
 
 
 def is_tight_on(program: Program, members: frozenset[int]) -> dict | None:

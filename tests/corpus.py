@@ -1,8 +1,9 @@
 """Shared test fixtures: random generators and independent oracles.
 
 The oracles here deliberately avoid the code paths they check: truth
-tables instead of DPLL, unpruned saturation instead of antichains, and
-a direct propositional reading of clause satisfaction.  The seed's
+tables instead of DPLL, unpruned saturation instead of antichains,
+unfounded sets instead of reducts, and a direct propositional reading
+of clause satisfaction.  The seed's
 character-by-character scanner is kept as the reference for the `.lp`
 tokens and parse errors.  The recursive
 DPLL with blocking-clause enumeration is kept as a reference for the
@@ -27,6 +28,7 @@ from guardres import (
     Program,
     candidate_theories,
     check_candidate,
+    gl_operator,
     parse_program,
 )
 from guardres.core import ResourceLimitError, interpretation_key
@@ -254,6 +256,48 @@ def direct_clause_value(members, clause) -> bool:
     return (any(q not in members for q in clause.pos_body)
             or any(r in members for r in clause.neg_body)
             or clause.head in members)
+
+
+def unfounded_set_stable(program: Program, members: frozenset) -> bool:
+    """Stability without reducts: a model none of whose nonempty subsets is unfounded.
+
+    A set U is unfounded when none of its atoms has a clause whose body
+    `members` satisfies and whose positive body misses U (Leone, Rullo &
+    Scarcello, *Information and Computation* 1997).  Every subset of
+    `members` is tried, each as a bitmask.
+    """
+    if not all(direct_clause_value(members, c) for c in program.clauses):
+        return False
+
+    def mask(atoms) -> int:
+        return sum(1 << a for a in atoms)
+
+    backed = [(1 << c.head, mask(c.pos_body)) for c in program.clauses
+              if all(q in members for q in c.pos_body)
+              and not any(r in members for r in c.neg_body)]
+    full = mask(members)
+    subset = full
+    while subset:
+        if not any(head & subset and not pos & subset for head, pos in backed):
+            return False
+        subset = (subset - 1) & full
+    return True
+
+
+def well_founded_bracket(program: Program) -> tuple:
+    """`(T, U)`: the atoms true, and the atoms not false, in the well-founded model.
+
+    The alternating fixpoint of Γ (Van Gelder, JCSS 1993): from T = ∅, set
+    U = Γ(T) and then T = Γ(U), until T is fixed.  Every stable model M
+    has T ⊆ M ⊆ U.
+    """
+    true = frozenset()
+    while True:
+        possible = gl_operator(program, true)
+        grown = gl_operator(program, possible)
+        if grown == true:
+            return true, possible
+        true = grown
 
 
 def _reference_unit_propagate(clauses, assign: dict):

@@ -243,17 +243,34 @@ def test_supports_proofs_golden(tmp_path, capsys, text, top):
 DEEP_LEVELS = 3000
 
 
-def test_supports_proofs_deep_chain(tmp_path, capsys):
+@pytest.fixture
+def deep_chain_file(tmp_path):
+    """`a0.` and `a_i :- a_{i-1}.` up to `DEEP_LEVELS`."""
     path = tmp_path / "chain.lp"
     path.write_text("a0.\n" + "".join(
         f"a{i} :- a{i - 1}.\n" for i in range(1, DEEP_LEVELS + 1)))
-    assert run(["supports", str(path), "--atom", f"a{DEEP_LEVELS}", "--proofs"]) == 0
+    return str(path)
+
+
+def test_supports_proofs_deep_chain(deep_chain_file, capsys):
+    assert run(["supports", deep_chain_file, "--atom", f"a{DEEP_LEVELS}", "--proofs"]) == 0
     expected = ["{}"]
     for i in range(DEEP_LEVELS, 0, -1):
         depth = DEEP_LEVELS - i
         expected += [f"{depth}| a{i} : {{}}", f"{depth + 1}| a{i} <- a{i - 1} : {{}}"]
     expected.append(f"{DEEP_LEVELS}| a0 : {{}}")
     assert capsys.readouterr().out == "".join(line + "\n" for line in expected)
+
+
+def test_oracle_commands_deep_chain(deep_chain_file, capsys):
+    # The reduct operator and the tightness ranks run on the same chain.
+    atoms = [f"a{i}" for i in range(DEEP_LEVELS + 1)]
+    model = "{" + ", ".join(atoms) + "}"
+    assert run(["check-model", deep_chain_file, "--model", model]) == 0
+    assert capsys.readouterr().out == "stable: yes\nsupported: yes\nhas-levels: yes\n"
+    assert run(["check-tight", deep_chain_file]) == 0
+    assert capsys.readouterr().out == "tight\n" + "".join(
+        f"{name} {name[1:]}\n" for name in sorted(atoms))
 
 
 def test_solve_certs_deep_search(tmp_path, capsys):

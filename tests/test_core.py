@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings
 
 from guardres import (
     AtomTable,
@@ -13,7 +14,7 @@ from guardres import (
 )
 from guardres.core import interpretation_key
 
-from corpus import direct_clause_value
+from corpus import direct_clause_value, small_programs
 
 
 def test_intern_first_insertion():
@@ -109,6 +110,14 @@ def test_overlapping_body_clause_is_kept():
     clause = Clause(0, frozenset([0]), frozenset([0]))
     program = Program(table, [clause])
     assert program.clauses == (clause,)
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_programs())
+def test_clauses_using_lists_each_clause_once_per_positive_body_atom(program):
+    for atom in range(len(program.atoms)):
+        assert program.clauses_using(atom) == tuple(
+            idx for idx, clause in enumerate(program.clauses) if atom in clause.pos_body)
 
 
 def test_format_interpretation_sorted_by_name():

@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings
 
 from guardres import (
     AtomTable,
@@ -18,11 +19,21 @@ from guardres import (
     is_tight,
     is_tight_on,
     least_model,
+    satisfies_program,
 )
 from guardres import semantics
 from guardres.semantics import derivation_levels
 
-from corpus import example_program, members_of, prog, random_program, random_tight_program
+from corpus import (
+    example_program,
+    members_of,
+    prog,
+    random_program,
+    random_tight_program,
+    small_programs,
+    unfounded_set_stable,
+    well_founded_bracket,
+)
 
 
 def _horn_signature(horn):
@@ -83,6 +94,10 @@ def test_derivation_levels_chain():
         Clause(2, frozenset([0, 1]), frozenset()),
     ])
     assert derivation_levels(horn) == {0: 0, 1: 1, 2: 2}
+    # Under `members`, a clause whose negative body meets them never fires.
+    program = prog("a.\nb :- a, not c.\nc :- a.\nd :- b.")
+    assert derivation_levels(program) == {0: 0, 1: 1, 2: 1, 3: 2}
+    assert derivation_levels(program, members_of(program, "c")) == {0: 0, 2: 1}
 
 
 def test_gl_operator_examples():
@@ -261,3 +276,84 @@ def test_tight_on_supported_implies_stable_on_random_corpus():
             if is_supported(program, members) and \
                     is_tight_on(program, members) is not None:
                 assert is_stable(program, members)
+
+
+def test_is_stable_builds_no_program(monkeypatch):
+    program = example_program()
+    model = members_of(program, "p", "q", "t")
+    built = []
+    init = Program.__init__
+
+    def counting_init(self, *args):
+        built.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(Program, "__init__", counting_init)
+    assert is_stable(program, model)
+    assert not is_stable(program, frozenset())
+    assert gl_operator(program, model) == model
+    assert compute_levels(program, model) is not None
+    assert built == []
+    gl_reduct(program, model)  # the public reading still builds one
+    assert len(built) == 1
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_programs())
+def test_gl_operator_is_least_model_of_reduct(program):
+    for members in all_interpretations(len(program.atoms)):
+        assert gl_operator(program, members) == least_model(gl_reduct(program, members))
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_programs())
+def test_compute_levels_are_the_reducts_audited_levels(program):
+    for members in all_interpretations(len(program.atoms)):
+        levels = derivation_levels(gl_reduct(program, members))
+        audited = (satisfies_program(members, program)
+                   and frozenset(levels) == members
+                   and check_levels(program, members, levels))
+        assert compute_levels(program, members) == (levels if audited else None)
+
+
+def test_unfounded_set_oracle_worked_examples():
+    program = example_program()
+    assert unfounded_set_stable(program, members_of(program, "p", "q", "t"))
+    assert not unfounded_set_stable(program, members_of(program, "p", "t"))
+    loop = prog("p :- q.\nq :- p.")
+    assert not unfounded_set_stable(loop, members_of(loop, "p", "q"))
+    assert unfounded_set_stable(loop, frozenset())
+
+
+def test_unfounded_set_oracle_matches_is_stable_up_to_8_atoms():
+    rng = random.Random(8)
+    for _ in range(200):
+        program = random_program(rng, max_atoms=8, max_clauses=12)
+        for members in all_interpretations(len(program.atoms)):
+            assert unfounded_set_stable(program, members) == is_stable(program, members)
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_programs())
+def test_unfounded_set_oracle_agrees_with_is_stable(program):
+    for members in all_interpretations(len(program.atoms)):
+        assert unfounded_set_stable(program, members) == is_stable(program, members)
+
+
+def test_well_founded_bracket_worked_examples():
+    pair = prog("p :- not q.\nq :- not p.")
+    assert well_founded_bracket(pair) == (frozenset(), members_of(pair, "p", "q"))
+    program = example_program()
+    model = members_of(program, "p", "q", "t")
+    assert well_founded_bracket(program) == (model, model)
+    odd = prog("p :- not p.")
+    assert well_founded_bracket(odd) == (frozenset(), members_of(odd, "p"))
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_programs())
+def test_well_founded_bracket_holds_every_stable_model(program):
+    true, possible = well_founded_bracket(program)
+    assert true <= possible
+    for members in brute_force_stable(program):
+        assert true <= members <= possible
