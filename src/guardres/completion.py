@@ -16,7 +16,7 @@ one disjunct `p <-> -S` with its proof; those are `Equation`s too.
 
 from __future__ import annotations
 
-from .core import AtomTable, Clause, Program, Record, interpretation_key, set_field
+from .core import EMPTY, AtomTable, Clause, Program, Record, interpretation_key, set_field
 from .guarded import saturate_supports
 from .sat import CnfTheory, enumerate_models, equation_to_cnf
 from .semantics import brute_force_stable
@@ -101,7 +101,7 @@ def dung_transform(program: Program) -> Program:
     """Equivalent purely negative program: one clause per minimal support."""
     table = saturate_supports(program)
     clauses = [
-        Clause(atom, frozenset(), support)
+        Clause(atom, EMPTY, support)
         for atom in range(len(program.atoms))
         for support in table.supports(atom)
     ]

@@ -3,6 +3,8 @@
 Atoms are interned to dense integer ids once per program; every other
 module manipulates interpretations, bodies, and guards as frozensets of
 those ids and goes through the atom table only to read or print names.
+Every empty body or guard the package builds is the one frozenset
+`EMPTY`, so a program or proof holds no per-clause empty sets.
 """
 
 from __future__ import annotations
@@ -11,6 +13,8 @@ import re
 from collections.abc import Iterable, Iterator
 
 _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
+
+EMPTY: frozenset[int] = frozenset()
 
 
 class ResourceLimitError(RuntimeError):

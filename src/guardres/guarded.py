@@ -11,6 +11,14 @@ derivable is a *support* of p, and an interpretation *admits* `p : S`
 when it avoids S entirely; collecting supports is what turns the reduct
 fixpoint into proof search.
 
+Guards are shared, not copied.  A guard union hands back the other
+operand itself when one side is empty, so an unguarded step reuses the
+guard it inherits, and a resolvent whose last body atom was just
+resolved gets the shared empty body `core.EMPTY`.  On a chain of n
+levels with k guarded ones this keeps O(n + k²) guard atoms where fresh
+copies would keep O(n·k).  No table interns guards across calls, so a
+discarded proof frees its guards with it.
+
 Nothing here recurses on the depth of a program or a proof: saturation
 runs a worklist, every proof-tree walk keeps an explicit stack, and lazy
 enumeration runs one generator per goal (an atom to derive) under a
@@ -24,7 +32,7 @@ from collections import deque
 from collections.abc import Callable, Iterator
 from itertools import product
 
-from .core import AtomTable, Clause, Program, Record, ResourceLimitError, set_field
+from .core import EMPTY, AtomTable, Clause, Program, Record, ResourceLimitError, set_field
 
 # Most guards one atom may store; saturation reads it at call time.
 SUPPORT_CAP = 10_000
@@ -34,13 +42,25 @@ class ProofError(ValueError):
     """A proof tree failed verification."""
 
 
+def _union(s: frozenset[int], t: frozenset[int]) -> frozenset[int]:
+    """`s | t`, except that an empty side gives back the other operand itself."""
+    if not s:
+        return t
+    if not t:
+        return s
+    return s | t
+
+
 def guarded_resolve(gc: Clause, ga: Clause) -> Clause:
     """One resolution step: unfold the guarded atom `ga` into the body of `gc`.
 
     The resolvent keeps the rest of the positive body and unions the
     negative bodies; once the positive body is empty it is itself a
-    guarded atom.  Raises ValueError unless `gc` still has a positive
-    body, `ga` has none, and `ga.head` is in it.
+    guarded atom.  The union shares: when one guard is empty the
+    resolvent's guard is the other one, the same object, and a fully
+    resolved resolvent's positive body is `core.EMPTY`.  Raises
+    ValueError unless `gc` still has a positive body, `ga` has none, and
+    `ga.head` is in it.
     """
     if not gc.pos_body:
         raise ValueError("clause parent is already fully resolved")
@@ -48,7 +68,9 @@ def guarded_resolve(gc: Clause, ga: Clause) -> Clause:
         raise ValueError("atom parent still has body atoms")
     if ga.head not in gc.pos_body:
         raise ValueError(f"atom id {ga.head} does not occur in the clause body")
-    return Clause(gc.head, gc.pos_body - {ga.head}, gc.neg_body | ga.neg_body)
+    pos_body = gc.pos_body
+    rest = pos_body - {ga.head} if len(pos_body) > 1 else EMPTY
+    return Clause(gc.head, rest, _union(gc.neg_body, ga.neg_body))
 
 
 def admits(members: frozenset[int], ga: Clause) -> bool:
@@ -268,8 +290,12 @@ def saturate_supports(program: Program) -> SupportTable:
     One derivation is one seed clause or one combination of a popped
     guard with settled guards, so the count the table reports grows with
     the supports derived, not with the number of passes a naive fixpoint
-    would make.  Raises ResourceLimitError when an atom would store more
-    than `SUPPORT_CAP` guards (supports can be exponentially many).
+    would make.  A clause's negative body joins the popped guard by the
+    sharing union, so a one-atom clause with an empty negative body
+    stores the popped guard itself, and the unguarded levels of a chain
+    share one guard object.  Raises ResourceLimitError when an atom
+    would store more than `SUPPORT_CAP` guards (supports can be
+    exponentially many).
     """
     antichains: dict[int, list[frozenset[int]]] = {}
     settled: dict[int, list[frozenset[int]]] = {}
@@ -302,7 +328,7 @@ def saturate_supports(program: Program) -> SupportTable:
             continue
         for idx in program.clauses_using(atom):
             clause = clauses[idx]
-            base = clause.neg_body | guard
+            base = _union(clause.neg_body, guard)
             if len(clause.pos_body) == 1:
                 # Nothing to combine with: the popped guard is the one combination.
                 insert(clause.head, base)
@@ -466,7 +492,7 @@ def proof_from_sexp(text: str, table: AtomTable) -> ProofTree:
         while pos < len(tokens) and tokens[pos] != ")":
             ids.append(atom_id(take()))
         take(")")
-        return frozenset(ids)
+        return frozenset(ids) if ids else EMPTY
 
     # Each open `(step` keeps the parents parsed so far; a finished node
     # goes to the innermost open step, and a step with both parents
@@ -481,7 +507,7 @@ def proof_from_sexp(text: str, table: AtomTable) -> ProofTree:
         if kind not in ("atom", "clause"):
             raise ValueError(f"unknown proof node kind {kind!r}")
         head = atom_id(take())
-        body = atom_set() if kind == "clause" else frozenset()
+        body = atom_set() if kind == "clause" else EMPTY
         guard = atom_set()
         take(")")
         node = ProofTree(Clause(head, body, guard))

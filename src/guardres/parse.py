@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import re
 
-from .core import AtomTable, Clause, Program, Record, set_field
+from .core import EMPTY, AtomTable, Clause, Program, Record, set_field
 
 
 class SourceSpan(Record):
@@ -135,7 +135,8 @@ def parse_program(text: str) -> Program:
                     raise _fail(f"expected ',' or '.', found {_describe(sep)}", sep)
         elif tok[0] != ".":
             raise _fail(f"expected ':-' or '.', found {_describe(tok)}", tok)
-        clauses.append(Clause(head, frozenset(pos_body), frozenset(neg_body)))
+        clauses.append(Clause(head, frozenset(pos_body) if pos_body else EMPTY,
+                              frozenset(neg_body) if neg_body else EMPTY))
     return Program(table, clauses)
 
 

@@ -13,6 +13,7 @@ each with its guard dropped.
 from __future__ import annotations
 
 from .core import (
+    EMPTY,
     Clause,
     Program,
     ResourceLimitError,
@@ -27,7 +28,7 @@ BRUTE_FORCE_CAP = 20
 def gl_reduct(program: Program, members: frozenset[int]) -> Program:
     """Drop clauses whose negative body meets `members`; strip the rest."""
     kept = [
-        Clause(c.head, c.pos_body, frozenset())
+        Clause(c.head, c.pos_body, EMPTY)
         for c in program.clauses
         if not (c.neg_body & members)]
     return Program(program.atoms, kept)
