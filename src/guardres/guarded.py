@@ -11,6 +11,11 @@ derivable is a *support* of p, and an interpretation *admits* `p : S`
 when it avoids S entirely; collecting supports is what turns the reduct
 fixpoint into proof search.
 
+A proof tree's leaves are program clauses, and every inner node is one
+resolution step that `ProofTree.resolve` labels itself, so a proof is
+fixed by its leaves and its shape: verification reads the leaves, and
+pickles and s-expressions store only leaves and shape.
+
 Guards are shared, not copied.  A guard union hands back the other
 operand itself when one side is empty, so an unguarded step reuses the
 guard it inherits, and a resolvent whose last body atom was just
@@ -82,26 +87,34 @@ class ProofTree(Record):
     """Derivation tree: leaves from the program, inner nodes from resolution.
 
     Every label is a `Clause` whose negative body is its guard; one with
-    an empty positive body is a guarded atom `p : S`.  Leaves are program
-    clauses, so a fact or a purely negative clause is an atom leaf.  An
-    inner node has a clause parent and an atom parent and is labeled with
-    their resolvent, the unfolded clause, and the root of a complete
-    proof is a guarded atom.  Two trees are equal when they have the same
-    shape and labels; equality, hashing, copying and pickling walk the
-    nodes iteratively.
+    an empty positive body is a guarded atom `p : S`.  `ProofTree(label)`
+    is a leaf, and `ProofTree.resolve(clause_parent, atom_parent)` is the
+    only inner node there is: it is labeled with the resolvent of its two
+    parents' labels, so a tree is fixed by its leaves and its shape.  The
+    root of a complete proof is a guarded atom.  That flat form, the
+    pre-order with each leaf's label and None for each inner node, is
+    what equality, hashing, copying and pickling read, all iteratively.
     """
 
     __slots__ = ("label", "clause_parent", "atom_parent")
 
-    def __init__(self, label: Clause,
-                 clause_parent: ProofTree | None = None, atom_parent: ProofTree | None = None):
+    def __init__(self, label: Clause):
         set_field(self, "label", label)
-        set_field(self, "clause_parent", clause_parent)
-        set_field(self, "atom_parent", atom_parent)
+        set_field(self, "clause_parent", None)
+        set_field(self, "atom_parent", None)
+
+    @classmethod
+    def resolve(cls, clause_parent: ProofTree, atom_parent: ProofTree) -> ProofTree:
+        """The inner node over two parents; ValueError when they do not resolve."""
+        node = cls.__new__(cls)
+        set_field(node, "label", guarded_resolve(clause_parent.label, atom_parent.label))
+        set_field(node, "clause_parent", clause_parent)
+        set_field(node, "atom_parent", atom_parent)
+        return node
 
     @property
     def is_leaf(self) -> bool:
-        return self.clause_parent is None and self.atom_parent is None
+        return self.clause_parent is None
 
     def nodes(self) -> Iterator["ProofTree"]:
         """Pre-order: a node, then its clause parent's subtree, then its atom parent's."""
@@ -109,82 +122,70 @@ class ProofTree(Record):
         while stack:
             node = stack.pop()
             yield node
-            if node.atom_parent is not None:
-                stack.append(node.atom_parent)
             if node.clause_parent is not None:
+                stack.append(node.atom_parent)
                 stack.append(node.clause_parent)
 
     def leaves(self) -> Iterator["ProofTree"]:
         for node in self.nodes():
-            if node.is_leaf:
+            if node.clause_parent is None:
                 yield node
 
     def size(self) -> int:
         return sum(1 for _ in self.nodes())
 
     def _shape(self) -> tuple:
-        return self.label, self.clause_parent is None, self.atom_parent is None
+        """The flat form: pre-order, a leaf's label or None for an inner node."""
+        return tuple(node.label if node.clause_parent is None else None
+                     for node in self.nodes())
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ProofTree):
             return NotImplemented
-        # Equal shapes node by node keep both pre-order walks in step.
-        return self is other or all(
-            a._shape() == b._shape() for a, b in zip(self.nodes(), other.nodes()))
+        return self is other or self._shape() == other._shape()
 
     def __hash__(self) -> int:
-        return hash(tuple(node._shape() for node in self.nodes()))
+        return hash(self._shape())
 
     def __repr__(self) -> str:
         return f"ProofTree({self.label!r}, size={self.size()})"
 
     def __reduce__(self):
-        return _rebuild_proof, (tuple(node._shape() for node in self.nodes()),)
+        return _rebuild_proof, (self._shape(),)
 
 
-def _rebuild_proof(shapes: tuple) -> ProofTree:
-    """The tree whose pre-order `_shape()`s are `shapes`, built bottom-up.
+def _rebuild_proof(shape: tuple) -> ProofTree:
+    """The tree whose flat form is `shape`, built bottom-up by resolution.
 
     Read backwards, a pre-order lists each node after both its subtrees,
     the clause parent's last, so their roots are on top of the stack.
+    Raises ValueError when a pair of parents does not resolve.
     """
     stack: list[ProofTree] = []
-    for label, no_clause_parent, no_atom_parent in reversed(shapes):
-        clause_parent = None if no_clause_parent else stack.pop()
-        atom_parent = None if no_atom_parent else stack.pop()
-        stack.append(ProofTree(label, clause_parent, atom_parent))
+    for label in reversed(shape):
+        if label is None:
+            clause_parent = stack.pop()
+            stack.append(ProofTree.resolve(clause_parent, stack.pop()))
+        else:
+            stack.append(ProofTree(label))
     return stack.pop()
 
 
 def verify_proof(tree: ProofTree, program: Program) -> Clause:
     """Check a proof tree against `program` and return its root guarded atom.
 
-    Every leaf must be a program clause, looked up among the clauses of
-    its head, every inner node must be labeled with the resolvent of its
-    two parents, and the root must be fully resolved.  The root guard is
-    also audited against the union of all leaf guards, which equality
-    resolution guarantees.  Each check reads one node and its parents
-    only, so one pre-order pass does them all.  Raises ProofError on any
-    violation.
+    Construction already makes every inner label the resolvent of its
+    parents, so only the leaves are read: each must be a program clause,
+    looked up among the clauses of its head.  The root must be fully
+    resolved, and its guard is audited against the union of the leaf
+    guards.  Raises ProofError on any violation.
     """
     leaf_union: set[int] = set()
-    for node in tree.nodes():
-        label = node.label
-        clause_parent = node.clause_parent
-        atom_parent = node.atom_parent
-        if clause_parent is None and atom_parent is None:
-            if label not in program.clauses_for(label.head):
-                raise ProofError(f"leaf {label} is not the image of a program clause")
-            leaf_union |= label.neg_body
-            continue
-        if clause_parent is None or atom_parent is None:
-            raise ProofError("inner node lacks a clause parent or an atom parent")
-        try:
-            expected = guarded_resolve(clause_parent.label, atom_parent.label)
-        except ValueError as exc:
-            raise ProofError(str(exc)) from exc
-        if label != expected:
-            raise ProofError(f"inner node labeled {label}, resolution gives {expected}")
+    for leaf in tree.leaves():
+        label = leaf.label
+        if label not in program.clauses_for(label.head):
+            raise ProofError(f"leaf {label} is not the image of a program clause")
+        leaf_union |= label.neg_body
     root = tree.label
     if root.pos_body:
         raise ProofError("root is not fully resolved")
@@ -197,13 +198,13 @@ class SupportTable:
     """Per atom, the antichain of subset-minimal supports.
 
     `supports` gives an atom's entries in canonical order (lexicographic
-    on sorted atom ids), sorted on the first request for that atom, so a
-    query about one atom sorts one antichain.  The table keeps guards
-    only; the verifying ProofTree of an entry is the first proof of its
-    guard in lazy-enumeration order, recovered on demand by `certificates`
-    (every entry of an atom, in one enumeration pass); `certificate`
-    picks one entry from it.  `derivations` is the derivation count of
-    the saturation that built the table (see `saturate_supports`).
+    on sorted atom ids), sorted on each request, so a query about one
+    atom sorts one antichain.  The table keeps guards only; the verifying
+    ProofTree of an entry is the first proof of its guard in
+    lazy-enumeration order, recovered on demand by `certificates` (every
+    entry of an atom, in one enumeration pass); `certificate` picks one
+    entry from it.  `derivations` is the derivation count of the
+    saturation that built the table (see `saturate_supports`).
     """
 
     def __init__(self, program: Program, antichains: dict, derivations: int):
@@ -211,34 +212,24 @@ class SupportTable:
         self._program = program
         self._chains: dict[int, list[frozenset[int]]] = {
             atom: chain for atom, chain in antichains.items() if chain}
-        self._ordered: dict[int, tuple[frozenset[int], ...]] = {}
 
     @property
     def program(self) -> Program:
         return self._program
 
     def supports(self, atom: int) -> tuple[frozenset[int], ...]:
-        ordered = self._ordered.get(atom)
-        if ordered is None:
-            ordered = tuple(sorted(self._chains.get(atom, ()), key=sorted))
-            self._ordered[atom] = ordered
-        return ordered
-
-    def atoms(self) -> tuple[int, ...]:
-        """Atoms with at least one support."""
-        return tuple(sorted(self._chains))
+        return tuple(sorted(self._chains.get(atom, ()), key=sorted))
 
     def items(self) -> Iterator[tuple[int, tuple[frozenset[int], ...]]]:
-        for atom in self.atoms():
+        """`(atom, supports)` for each atom with a support, in atom-id order."""
+        for atom in sorted(self._chains):
             yield atom, self.supports(atom)
-
-    def has_admitted_support(self, atom: int, members: frozenset[int]) -> bool:
-        return any(not (s & members) for s in self._chains.get(atom, ()))
 
     def admitted_atoms(self, members: frozenset[int]) -> frozenset[int]:
         """Atoms with a support the interpretation admits."""
         return frozenset(
-            a for a in self._chains if self.has_admitted_support(a, members))
+            atom for atom, chain in self._chains.items()
+            if any(not (s & members) for s in chain))
 
     def certificate(self, atom: int, guard: frozenset[int]) -> ProofTree:
         """The verifying proof `certificates` gives one table entry."""
@@ -370,8 +361,7 @@ def _derive(target: int, clauses_for: Callable[[int], tuple[Clause, ...]],
                 goals.pop()
                 nodes.pop()
                 continue
-            node = ProofTree(guarded_resolve(nodes[-1].label, proof.label),
-                             nodes[-1], proof)
+            node = ProofTree.resolve(nodes[-1], proof)
             if len(goals) == len(body):
                 yield node
             else:
@@ -466,7 +456,12 @@ def proof_to_sexp(tree: ProofTree, table: AtomTable) -> str:
 
 
 def proof_from_sexp(text: str, table: AtomTable) -> ProofTree:
-    """Parse the s-expression form back; resolvent labels are recomputed."""
+    """Parse the s-expression form back into a tree.
+
+    The text is read into the flat form (leaf labels, None for each
+    `step`), and `_rebuild_proof` resolves the inner labels, so a `step`
+    whose parents do not resolve raises ValueError like any parse error.
+    """
     tokens = text.replace("(", " ( ").replace(")", " ) ").split()
     pos = 0
 
@@ -494,35 +489,29 @@ def proof_from_sexp(text: str, table: AtomTable) -> ProofTree:
         take(")")
         return frozenset(ids) if ids else EMPTY
 
-    # Each open `(step` keeps the parents parsed so far; a finished node
-    # goes to the innermost open step, and a step with both parents
-    # closes and is finished in turn.
-    open_steps: list[list[ProofTree]] = []
+    # `missing` counts, per open `(step`, the parents still to come; a
+    # step whose last parent is finished closes and is finished in turn.
+    shape: list[Clause | None] = []
+    missing: list[int] = []
     while True:
         take("(")
         kind = take()
         if kind == "step":
-            open_steps.append([])
+            shape.append(None)
+            missing.append(2)
             continue
         if kind not in ("atom", "clause"):
             raise ValueError(f"unknown proof node kind {kind!r}")
         head = atom_id(take())
         body = atom_set() if kind == "clause" else EMPTY
-        guard = atom_set()
+        shape.append(Clause(head, body, atom_set()))
         take(")")
-        node = ProofTree(Clause(head, body, guard))
-        while open_steps:
-            parents = open_steps[-1]
-            parents.append(node)
-            if len(parents) < 2:
-                break
-            open_steps.pop()
+        while missing and missing[-1] == 1:
+            missing.pop()
             take(")")
-            clause_parent, atom_parent = parents
-            node = ProofTree(guarded_resolve(clause_parent.label, atom_parent.label),
-                             clause_parent, atom_parent)
-        else:
+        if not missing:
             break
+        missing[-1] -= 1
     if pos != len(tokens):
         raise ValueError("trailing tokens after proof s-expression")
-    return node
+    return _rebuild_proof(tuple(shape))

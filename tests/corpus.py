@@ -36,7 +36,6 @@ from guardres.guarded import (
     ProofTree,
     SupportTable,
     enumerate_supports,
-    guarded_resolve,
     saturate_supports,
 )
 from guardres.parse import ParseError, SourceSpan
@@ -455,8 +454,7 @@ def reference_enumerate_supports(program: Program, atom: int):
             yield subtree.label.neg_body, subtree
             return
         for _, sub_proof in derive(body[index], blocked):
-            label = guarded_resolve(subtree.label, sub_proof.label)
-            node = ProofTree(label, clause_parent=subtree, atom_parent=sub_proof)
+            node = ProofTree.resolve(subtree, sub_proof)
             yield from expand(node, body, index + 1, blocked)
 
     yield from derive(atom, frozenset())

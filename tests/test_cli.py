@@ -140,6 +140,15 @@ def test_parse_error_exits_2(tmp_path, capsys):
     assert "line 1, column 6" in err
 
 
+def test_missing_literal_exits_2(tmp_path, capsys):
+    path = tmp_path / "comma.lp"
+    path.write_text("a :- ,.\n")
+    assert run(["solve", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: line 1, column 6: expected literal, found ','\n"
+
+
 def test_unknown_flag_exits_2(example_file, capsys):
     assert run(["solve", example_file, "--bogus"]) == 2
     assert run(["solve", example_file, "--jobs", "2"]) == 2
@@ -393,6 +402,13 @@ def test_to_dimacs_candidate_golden(example_file, capsys, index, expected):
 
 def _choice_pairs_text(pairs):
     return "".join(f"a{i} :- not b{i}.\nb{i} :- not a{i}.\n" for i in range(pairs))
+
+
+def test_to_dimacs_negative_candidate_exits_2(example_file, capsys):
+    assert run(["to-dimacs", example_file, "--candidate", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --candidate INDEX must be non-negative\n"
 
 
 def test_to_dimacs_candidate_decodes_index_of_large_product(tmp_path, capsys):

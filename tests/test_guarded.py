@@ -1,7 +1,9 @@
 import copy
 import gc
+import io
 import pickle
 import random
+import re
 import tracemalloc
 from itertools import islice
 
@@ -81,8 +83,7 @@ def _two_leaf_proof(program):
     p, t, q = (program.atoms.id_of(n) for n in "ptq")
     clause_leaf = ProofTree(Clause(p, frozenset([t]), frozenset([q])))
     atom_leaf = ProofTree(Clause(t, frozenset(), frozenset()))
-    return ProofTree(Clause(p, frozenset(), frozenset([q])),
-                     clause_parent=clause_leaf, atom_parent=atom_leaf)
+    return ProofTree.resolve(clause_leaf, atom_leaf)
 
 
 def test_verify_single_node_proof():
@@ -98,15 +99,26 @@ def test_verify_two_leaf_proof():
     assert names_of(program, root.neg_body) == {"q"}
 
 
-def test_verify_rejects_corrupt_inner_label():
+def test_public_api_cannot_build_a_free_inner_node():
+    # An inner node's label is always its parents' resolvent, and it always
+    # has both parents: the constructor takes a label only and `resolve`
+    # the two parents only.  (No field can be set afterwards: test_records.)
     program = example_program()
-    p, t, q, r = (program.atoms.id_of(n) for n in "ptqr")
-    clause_leaf = ProofTree(Clause(p, frozenset([t]), frozenset([q])))
-    atom_leaf = ProofTree(Clause(t, frozenset(), frozenset()))
-    corrupt = ProofTree(Clause(p, frozenset(), frozenset([q, r])),  # wrong guard union
-                        clause_parent=clause_leaf, atom_parent=atom_leaf)
-    with pytest.raises(ProofError):
-        verify_proof(corrupt, program)
+    tree = _two_leaf_proof(program)
+    leaf, label = tree.clause_parent, tree.label
+    wrong = Clause(label.head, frozenset(), label.neg_body | {program.atoms.id_of("r")})
+    with pytest.raises(TypeError):
+        ProofTree(wrong, leaf, tree.atom_parent)
+    with pytest.raises(TypeError):
+        ProofTree(wrong, clause_parent=leaf)
+    with pytest.raises(TypeError):
+        ProofTree(wrong, atom_parent=tree.atom_parent)
+    with pytest.raises(TypeError):
+        ProofTree.resolve(leaf)
+    with pytest.raises(TypeError):
+        ProofTree.resolve(leaf, tree.atom_parent, wrong)
+    with pytest.raises(AttributeError):
+        ProofTree.resolve(leaf, None)
 
 
 def test_verify_rejects_foreign_leaf():
@@ -124,29 +136,27 @@ def test_verify_rejects_unresolved_root():
 
 
 def _faulty_proof(program, fault):
-    """A hand-made tree over the worked example with one `verify_proof` fault."""
-    p, t, q, r, s = (program.atoms.id_of(n) for n in "ptqrs")
+    """A hand-made tree over the worked example with one fault."""
+    p, t, q, s = (program.atoms.id_of(n) for n in "ptqs")
     clause_leaf = ProofTree(Clause(p, frozenset([t]), frozenset([q])))
     t_leaf = ProofTree(Clause(t, frozenset(), frozenset()))
-    resolved = Clause(p, frozenset(), frozenset([q]))
     if fault == "foreign atom leaf":
         return ProofTree(Clause(p, frozenset(), frozenset()))
     if fault == "foreign clause leaf":
         return ProofTree(Clause(p, frozenset([q]), frozenset()))
     if fault == "clause parent resolved":
-        return ProofTree(resolved, clause_parent=t_leaf, atom_parent=t_leaf)
+        return ProofTree.resolve(t_leaf, t_leaf)
     if fault == "atom parent with body":
-        return ProofTree(resolved, clause_parent=clause_leaf, atom_parent=clause_leaf)
-    if fault == "missing parent":
-        return ProofTree(resolved, clause_parent=clause_leaf)
-    if fault == "wrong inner label":
-        return ProofTree(Clause(p, frozenset(), frozenset([q, r])),
-                         clause_parent=clause_leaf, atom_parent=t_leaf)
+        return ProofTree.resolve(clause_leaf, clause_leaf)
     if fault == "atom not in body":
-        q_leaf = ProofTree(Clause(q, frozenset(), frozenset([s])))
-        return ProofTree(resolved, clause_parent=clause_leaf, atom_parent=q_leaf)
+        return ProofTree.resolve(clause_leaf, ProofTree(Clause(q, frozenset(), frozenset([s]))))
     assert fault == "unresolved root"
     return clause_leaf
+
+
+# Faults that `ProofTree.resolve` refuses while the tree is built, with
+# `guarded_resolve`'s ValueError; `verify_proof` reports the others.
+_BUILD_FAULTS = {"clause parent resolved", "atom parent with body", "atom not in body"}
 
 
 @pytest.mark.parametrize("fault, message", [
@@ -154,15 +164,14 @@ def _faulty_proof(program, fault):
     ("foreign clause leaf", "is not the image of a program clause"),
     ("clause parent resolved", "clause parent is already fully resolved"),
     ("atom parent with body", "atom parent still has body atoms"),
-    ("missing parent", "inner node lacks a clause parent or an atom parent"),
-    ("wrong inner label", "resolution gives"),
     ("atom not in body", "does not occur in the clause body"),
     ("unresolved root", "root is not fully resolved"),
 ])
 def test_verify_reports_each_fault(fault, message):
     program = example_program()
-    with pytest.raises(ProofError, match=message):
+    with pytest.raises(ValueError, match=message) as caught:
         verify_proof(_faulty_proof(program, fault), program)
+    assert caught.type is (ValueError if fault in _BUILD_FAULTS else ProofError)
 
 
 def test_saturate_worked_example():
@@ -184,7 +193,7 @@ def test_saturate_keeps_self_guard():
 
 def test_saturate_positive_loop_has_no_supports():
     program = prog("a :- b.\nb :- a.")
-    assert saturate_supports(program).atoms() == ()
+    assert list(saturate_supports(program).items()) == []
 
 
 def test_saturate_antichain_is_minimal():
@@ -355,14 +364,62 @@ def test_proof_sexp_roundtrip_property(program):
             assert proof_from_sexp(text, program.atoms) == tree
 
 
+# The three ways `guarded_resolve` refuses a pair of labels.
+_REFUSALS = ("clause parent is already fully resolved|atom parent still has body atoms"
+             "|does not occur in the clause body")
+
+
+class _LabelRecorder(pickle.Pickler):
+    """A pickler that records every `Clause` it is handed, repeats included."""
+
+    def __init__(self, file):
+        super().__init__(file)
+        self.labels = []
+
+    def persistent_id(self, obj):
+        if isinstance(obj, Clause):
+            self.labels.append(obj)
+        return None
+
+
+def _pickled_labels(tree):
+    recorder = _LabelRecorder(io.BytesIO())
+    recorder.dump(tree)
+    return recorder.labels
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_programs())
+def test_proof_is_its_leaves_and_shape_property(program):
+    for atom in range(len(program.atoms)):
+        for _, tree in islice(enumerate_supports(program, atom), 50):
+            for node in tree.nodes():
+                if node.is_leaf:
+                    assert node.atom_parent is None
+                else:
+                    assert node.atom_parent is not None
+                    assert node.label == guarded_resolve(node.clause_parent.label,
+                                                         node.atom_parent.label)
+            labels = [node.label for node in tree.nodes()]
+            text = proof_to_sexp(tree, program.atoms)
+            for twin in (copy.copy(tree), copy.deepcopy(tree),
+                         pickle.loads(pickle.dumps(tree)), proof_from_sexp(text, program.atoms)):
+                assert twin == tree and hash(twin) == hash(tree)
+                assert [node.label for node in twin.nodes()] == labels
+            pickled = _pickled_labels(tree)
+            leaves = [leaf.label for leaf in tree.leaves()]
+            assert len(pickled) == len(leaves)
+            assert all(a is b for a, b in zip(pickled, leaves))
+
+
 def _with_leaf(tree, leaf, label):
-    """A copy of `tree` with the node `leaf` relabeled `label`, every other label kept."""
+    """`tree` rebuilt by resolution with the node `leaf` relabeled `label`."""
     if tree is leaf:
         return ProofTree(label)
     if tree.is_leaf:
         return tree
-    return ProofTree(tree.label, _with_leaf(tree.clause_parent, leaf, label),
-                     _with_leaf(tree.atom_parent, leaf, label))
+    return ProofTree.resolve(_with_leaf(tree.clause_parent, leaf, label),
+                             _with_leaf(tree.atom_parent, leaf, label))
 
 
 def _foreign_labels(program, label):
@@ -396,8 +453,15 @@ def test_verify_checks_each_leaf_against_its_head_property(program):
                 for label in _foreign_labels(program, leaf.label):
                     with pytest.raises(ProofError, match="is not the image of a program clause"):
                         verify_proof(ProofTree(label), program)
-                    with pytest.raises(ProofError):
-                        verify_proof(_with_leaf(tree, leaf, label), program)
+                    # The forged tree either cannot be built, or its foreign
+                    # leaf is the first fault verification reports.
+                    try:
+                        forged = _with_leaf(tree, leaf, label)
+                    except ValueError as exc:
+                        assert re.fullmatch(f".*({_REFUSALS}).*", str(exc))
+                        continue
+                    with pytest.raises(ProofError, match="is not the image of a program clause"):
+                        verify_proof(forged, program)
 
 
 def test_deep_proof_walks_without_recursion():
@@ -431,8 +495,9 @@ def test_deep_proof_equality_hash_and_repr():
         f"ProofTree(Clause(head={top}, pos_body=frozenset(), neg_body=frozenset()), "
         f"size={2 * levels + 1})")
     assert first != first.atom_parent
-    cut = ProofTree(first.label, clause_parent=first.clause_parent,
-                    atom_parent=ProofTree(first.atom_parent.label))
+    # Same root label, but the atom parent's subtree is cut to one leaf.
+    cut = ProofTree.resolve(first.clause_parent, ProofTree(first.atom_parent.label))
+    assert cut.label == first.label
     assert first != cut and cut != first
 
 
@@ -594,6 +659,17 @@ def test_proof_sexp_truncated_input_is_value_error():
         except ValueError:
             continue
         assert tree == _two_leaf_proof(program)
+
+
+def test_proof_sexp_rejects_malformed_text():
+    program = example_program()
+    text = proof_to_sexp(_two_leaf_proof(program), program.atoms)
+    with pytest.raises(ValueError, match="^trailing tokens after proof s-expression$"):
+        proof_from_sexp(text + " (atom t ())", program.atoms)
+    with pytest.raises(ValueError, match="^expected '\\(', found 'atom'$"):
+        proof_from_sexp("atom t ()", program.atoms)
+    with pytest.raises(ValueError, match="^clause parent is already fully resolved$"):
+        proof_from_sexp("(step (atom t ()) (atom t ()))", program.atoms)
 
 
 def test_proof_sexp_rejects_unknown_atom():

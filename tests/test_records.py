@@ -54,9 +54,9 @@ def _records():
          guarded_resolve(Clause(0, a | {3}, b), Clause(3, frozenset(), a)),
          "Clause(head=0, pos_body=frozenset({1}), neg_body=frozenset({2}))"),
         ("ProofTree", ("label", "clause_parent", "atom_parent"),
-         lambda: ProofTree(Clause(0, frozenset(), a), atom_parent=ProofTree(leaf)),
+         lambda: ProofTree.resolve(ProofTree(Clause(0, frozenset([3]), a)), ProofTree(leaf)),
          ProofTree(Clause(0, frozenset(), a)),
-         "ProofTree(Clause(head=0, pos_body=frozenset(), neg_body=frozenset({1})), size=2)"),
+         "ProofTree(Clause(head=0, pos_body=frozenset(), neg_body=frozenset({1})), size=3)"),
         ("SourceSpan", ("line", "column"), lambda: SourceSpan(1, 2), SourceSpan(2, 1),
          "SourceSpan(line=1, column=2)"),
         # A clause of a reduct has an empty negative body: `p :- t, not q` gives `p :- t`.

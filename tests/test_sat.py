@@ -155,6 +155,11 @@ def test_dpll_respects_assumptions():
     assert assignment == {0: False, 1: True}
     unit = CnfTheory.from_literals(table, [[(0, True)]])
     assert dpll_solve(unit, {0: False}) is None
+    # One assumption forces the other atom through `-a | b`, and the
+    # other assumption denies it, in either order.
+    implied = CnfTheory.from_literals(table, [[(0, False), (1, True)]])
+    assert dpll_solve(implied, {0: True, 1: False}) is None
+    assert dpll_solve(implied, {1: False, 0: True}) is None
 
 
 def test_enumerate_models_examples():
@@ -351,3 +356,21 @@ def test_parse_dimacs_counts_lines_before_dedup():
     # Three clause lines match the header; the repeat and the tautology go.
     theory = parse_dimacs("p cnf 2 3\n1 0\n1 0\n1 -1 0\n")
     assert theory.clauses == (frozenset([(0, True)]),)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("p cnf 3\n", "malformed DIMACS header: 'p cnf 3'"),
+    ("p cnf 1 1\n1\n", "clause line does not end with 0: '1'"),
+    ("1 0\n", "missing DIMACS header"),
+])
+def test_parse_dimacs_rejects_malformed_text(text, message):
+    with pytest.raises(ValueError) as caught:
+        parse_dimacs(text)
+    assert str(caught.value) == message
+
+
+def test_parse_dimacs_skips_plain_comments():
+    plain = parse_dimacs("p cnf 1 1\n1 0\n")
+    commented = parse_dimacs("c hello\np cnf 1 1\n1 0\n")
+    assert commented.atoms.names == plain.atoms.names
+    assert commented.clauses == plain.clauses == (frozenset([(0, True)]),)

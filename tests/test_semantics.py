@@ -173,6 +173,17 @@ def test_compute_levels_worked_example():
     assert check_levels(program, model, ranks)
 
 
+def test_check_levels_rejects_each_bad_certificate():
+    program = prog("a.\nb :- a.")
+    a, b = program.atoms.id_of("a"), program.atoms.id_of("b")
+    model = frozenset([a, b])
+    assert check_levels(program, model, {a: 0, b: 1})
+    assert not check_levels(program, frozenset([a]), {a: 0})  # not a model
+    assert not check_levels(program, model, {a: 0})  # b unranked
+    assert not check_levels(program, model, {a: 1, b: 1})  # body atom a not below b
+    assert not check_levels(program, model, {a: 2, b: 1})
+
+
 def test_compute_levels_absent_for_self_support():
     program = prog("p :- p.")
     assert compute_levels(program, members_of(program, "p")) is None

@@ -169,6 +169,8 @@ def test_solve_odd_loop_has_no_models():
 def test_solve_respects_limit():
     program = prog("p :- not q.\nq :- not p.")
     assert len(solve_stable(program, limit=1)) == 1
+    assert solve_stable(program, 0) == []
+    assert solve_stable(example_program(), 0) == []
 
 
 def test_support_subequation_rejects_mismatched_proof():
