@@ -6,125 +6,17 @@ through defining equations and candidate theories over an embedded DPLL
 solver, and checks everything against the brute-force reduct oracle.
 """
 
-from .completion import (
-    CompletionTheory,
-    Equation,
-    build_completion,
-    dung_transform,
-    equivalent,
-    format_equation,
-    models_of_completion,
-)
-from .core import (
-    AtomTable,
-    Clause,
-    Program,
-    ResourceLimitError,
-    all_interpretations,
-    format_interpretation,
-    interpretation,
-    satisfies_clause,
-    satisfies_program,
-)
-from .guarded import (
-    ProofError,
-    ProofTree,
-    SupportTable,
-    admits,
-    enumerate_supports,
-    format_proof,
-    guarded_resolve,
-    proof_from_sexp,
-    proof_to_sexp,
-    saturate_supports,
-    verify_proof,
-)
-from .parse import ParseError, SourceSpan, parse_program, render_program
-from .sat import (
-    CnfTheory,
-    dpll_solve,
-    enumerate_models,
-    export_dimacs,
-    parse_dimacs,
-    program_to_cnf,
-)
-from .semantics import (
-    brute_force_stable,
-    check_levels,
-    compute_levels,
-    gl_operator,
-    gl_reduct,
-    is_stable,
-    is_supported,
-    is_tight,
-    is_tight_on,
-    least_model,
-)
-from .solver import (
-    CandidateTheory,
-    SolveStats,
-    candidate_theories,
-    candidate_theory,
-    check_candidate,
-    format_certificate,
-    solve_stable,
-)
+# A star import takes exactly the module's own `__all__`, and importing a
+# submodule binds its name here, so the sum below can read each tuple.
+from .completion import *
+from .core import *
+from .guarded import *
+from .parse import *
+from .sat import *
+from .semantics import *
+from .solver import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AtomTable",
-    "CandidateTheory",
-    "Clause",
-    "CnfTheory",
-    "CompletionTheory",
-    "Equation",
-    "ParseError",
-    "Program",
-    "ProofError",
-    "ProofTree",
-    "ResourceLimitError",
-    "SolveStats",
-    "SourceSpan",
-    "SupportTable",
-    "admits",
-    "all_interpretations",
-    "brute_force_stable",
-    "build_completion",
-    "candidate_theories",
-    "candidate_theory",
-    "check_candidate",
-    "check_levels",
-    "compute_levels",
-    "dpll_solve",
-    "dung_transform",
-    "enumerate_models",
-    "enumerate_supports",
-    "equivalent",
-    "export_dimacs",
-    "format_certificate",
-    "format_equation",
-    "format_interpretation",
-    "format_proof",
-    "gl_operator",
-    "gl_reduct",
-    "guarded_resolve",
-    "interpretation",
-    "is_stable",
-    "is_supported",
-    "is_tight",
-    "is_tight_on",
-    "least_model",
-    "models_of_completion",
-    "parse_dimacs",
-    "parse_program",
-    "program_to_cnf",
-    "proof_from_sexp",
-    "proof_to_sexp",
-    "render_program",
-    "satisfies_clause",
-    "satisfies_program",
-    "saturate_supports",
-    "solve_stable",
-    "verify_proof",
-]
+__all__ = (completion.__all__ + core.__all__ + guarded.__all__ + parse.__all__
+           + sat.__all__ + semantics.__all__ + solver.__all__)

@@ -25,7 +25,7 @@ from .semantics import (
     is_tight,
     is_tight_on,
 )
-from .solver import candidate_theory, format_certificate, solve_stable
+from .solver import candidate_theory, format_certificate, solve_stable, support_subequation
 
 
 class _CliError(Exception):
@@ -149,6 +149,9 @@ def _cmd_supports(args: argparse.Namespace) -> int:
     atom = program.atoms.id_of(args.atom)
     table = saturate_supports(program)
     proofs = table.certificates(atom) if args.proofs else {}
+    for guard, proof in proofs.items():
+        # Certified as `solve --certs` certifies its proofs, before any is printed.
+        support_subequation(program, atom, guard, proof)
     for guard in table.supports(atom):
         print(format_interpretation(program.atoms, guard))
         if args.proofs:

@@ -16,6 +16,9 @@ one disjunct `p <-> -S` with its proof; those are `Equation`s too.
 
 from __future__ import annotations
 
+__all__ = ("CompletionTheory", "Equation", "build_completion", "dung_transform",
+           "equivalent", "format_equation", "models_of_completion")
+
 from .core import EMPTY, AtomTable, Clause, Program, Record, interpretation_key, set_field
 from .guarded import saturate_supports
 from .sat import CnfTheory, enumerate_models, equation_to_cnf

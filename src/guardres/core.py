@@ -9,6 +9,10 @@ Every empty body or guard the package builds is the one frozenset
 
 from __future__ import annotations
 
+__all__ = ("AtomTable", "Clause", "Program", "ResourceLimitError",
+           "all_interpretations", "format_interpretation", "interpretation",
+           "satisfies_clause", "satisfies_program")
+
 import re
 from collections.abc import Iterable, Iterator
 

@@ -33,6 +33,10 @@ chains thousands of levels deep stay in reach.
 
 from __future__ import annotations
 
+__all__ = ("ProofError", "ProofTree", "SupportTable", "admits", "enumerate_supports",
+           "format_proof", "guarded_resolve", "proof_from_sexp", "proof_to_sexp",
+           "saturate_supports", "verify_proof")
+
 from collections import deque
 from collections.abc import Callable, Iterator
 from itertools import product
@@ -321,7 +325,7 @@ def saturate_supports(program: Program) -> SupportTable:
             clause = clauses[idx]
             base = _union(clause.neg_body, guard)
             if len(clause.pos_body) == 1:
-                # Nothing to combine with: the popped guard is the one combination.
+                # `base` is the one combination; `base.union()` would copy it, and slower.
                 insert(clause.head, base)
                 continue
             pools = [settled.get(b, ()) for b in clause.pos_body if b != atom]

@@ -27,6 +27,8 @@ advances the column.
 
 from __future__ import annotations
 
+__all__ = ("ParseError", "SourceSpan", "parse_program", "render_program")
+
 import re
 
 from .core import EMPTY, AtomTable, Clause, Program, Record, set_field

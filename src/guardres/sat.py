@@ -13,6 +13,9 @@ through a chain of auxiliary atoms (`equation_to_cnf`).
 
 from __future__ import annotations
 
+__all__ = ("CnfTheory", "dpll_solve", "enumerate_models", "export_dimacs",
+           "parse_dimacs", "program_to_cnf")
+
 from collections.abc import Iterable, Iterator, Mapping
 
 from .core import AtomTable, Program, interpretation_key
@@ -84,9 +87,10 @@ def equation_to_cnf(atom: int, supports: tuple,
         return [frozenset([(atom, False)])]
     guard = supports[0]
     if not guard:
-        # The empty guard subsumes everything, so it is the whole antichain.
+        # The empty guard is the whole antichain; the chain gives this `p` too, more slowly.
         return [frozenset([(atom, True)])]
     if len(supports) == 1:
+        # The chain would be slower and put `p | S` first, changing the DIMACS text.
         clauses = [frozenset([(atom, False), (r, False)]) for r in sorted(guard)]
         clauses.append(frozenset([(atom, True)] + [(r, True) for r in guard]))
         return clauses

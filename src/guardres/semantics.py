@@ -12,6 +12,10 @@ each with its guard dropped.
 
 from __future__ import annotations
 
+__all__ = ("brute_force_stable", "check_levels", "compute_levels", "gl_operator",
+           "gl_reduct", "is_stable", "is_supported", "is_tight", "is_tight_on",
+           "least_model")
+
 from .core import (
     EMPTY,
     Clause,

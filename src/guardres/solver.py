@@ -16,6 +16,9 @@ certificate being carried (see SolveStats).
 
 from __future__ import annotations
 
+__all__ = ("CandidateTheory", "SolveStats", "candidate_theories", "candidate_theory",
+           "check_candidate", "format_certificate", "solve_stable")
+
 from collections.abc import Iterator
 from itertools import product
 

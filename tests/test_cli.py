@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from guardres.cli import run
-from guardres import format_interpretation, parse_program
+from guardres import ProofError, SupportTable, format_interpretation, parse_program
 
 from corpus import (
     EXAMPLE_TEXT,
@@ -101,15 +101,63 @@ TWO_MODELS_TEXT = (
     "p :- q, not a.\np :- not b, not c.\n")
 
 
+# One stable model each, at sizes the candidate product still solves fast:
+# a definite chain of 10 levels, a 3-rung ladder, and the doubling family
+# `p_{i+1} :- p_i, q_i` at n = 4, whose proof of p4 has 91 nodes.
+CHAIN_TEXT = """\
+a0.
+a1 :- a0.
+a2 :- a1.
+a3 :- a2.
+a4 :- a3.
+a5 :- a4.
+a6 :- a5.
+a7 :- a6.
+a8 :- a7.
+a9 :- a8.
+a10 :- a9.
+"""
+LADDER_TEXT = """\
+a0 :- not x0.
+a1 :- a0, not x1.
+a1 :- c1.
+c1 :- not y1.
+a2 :- a1, not x2.
+a2 :- c2.
+c2 :- not y2.
+a3 :- a2, not x3.
+a3 :- c3.
+c3 :- not y3.
+"""
+DOUBLING_TEXT = """\
+p0 :- not z.
+q0 :- p0.
+p1 :- p0, q0.
+q1 :- p1.
+p2 :- p1, q1.
+q2 :- p2.
+p3 :- p2, q2.
+q3 :- p3.
+p4 :- p3, q3.
+"""
+
+
 @pytest.mark.parametrize("text, golden", [
     (EXAMPLE_TEXT, "example_certs.txt"),
     (TWO_MODELS_TEXT, "two_models_certs.txt"),
-], ids=["example", "two-models"])
+    (CHAIN_TEXT, "chain_certs.txt"),
+    (LADDER_TEXT, "ladder_certs.txt"),
+    (DOUBLING_TEXT, "doubling_certs.txt"),
+], ids=["example", "two-models", "chain", "ladder", "doubling"])
 def test_solve_certs_golden(tmp_path, capsys, text, golden):
     path = tmp_path / "program.lp"
     path.write_text(text)
-    assert run(["solve", str(path), "--certs"]) == 0
-    assert capsys.readouterr().out == (GOLDEN / golden).read_text()
+    expected = (GOLDEN / golden).read_text()
+    # A limit of the model count stops the search early but keeps every block.
+    limit = str(expected.count("\nmodel "))
+    for flags in ([], ["--limit", limit]):
+        assert run(["solve", str(path), "--certs", *flags]) == 0
+        assert capsys.readouterr().out == expected
 
 
 def test_supports_proofs_golden_example(example_file, capsys):
@@ -185,6 +233,23 @@ def test_undecodable_stdin_exits_2_in_utf8_mode():
     assert done.stderr.startswith(b"error: cannot read -: ")
 
 
+@pytest.mark.parametrize("argv, text, code", [
+    (["solve"], EXAMPLE_TEXT, 0),
+    (["solve"], "a :- not a.\n", 10),
+    (["check-tight"], "a :- a.\n", 11),
+    (["solve"], "a :- ,.\n", 2),
+    (["solve", "--engine", "brute"], "".join(f"f{i}.\n" for i in range(21)), 3),
+], ids=["0", "10", "11", "2", "3"])
+def test_module_entry_point_exit_status(argv, text, code):
+    # `main` hands `run`'s code to the process, which is how scripts see it.
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    done = subprocess.run([sys.executable, "-m", "guardres.cli", argv[0], "-", *argv[1:]],
+                          input=text.encode(), env=env, capture_output=True, timeout=60)
+    assert done.returncode == code, done.stderr
+    assert done.stderr.startswith(b"error: ") == (code in (2, 3))
+
+
 def test_resource_error_exits_3(tmp_path, capsys):
     names = [f"a{i}" for i in range(21)]
     text = "".join(f"{n} :- not b{i}.\n" for i, n in enumerate(names))
@@ -211,6 +276,21 @@ def test_supports_with_proofs(example_file, capsys):
         "{r}\n"
         "0| p : {r}\n"
     )
+
+
+def test_supports_proofs_refuses_a_proof_of_another_guard(example_file, monkeypatch,
+                                                         capsys):
+    # p's supports {q} and {r} get each other's proof.
+    certificates = SupportTable.certificates
+
+    def swapped(table, atom):
+        (first, first_proof), (second, second_proof) = certificates(table, atom).items()
+        return {first: second_proof, second: first_proof}
+
+    monkeypatch.setattr(SupportTable, "certificates", swapped)
+    with pytest.raises(ProofError):
+        run(["supports", example_file, "--atom", "p", "--proofs"])
+    assert capsys.readouterr().out == ""
 
 
 def _reference_supports_text(text, atom_name):

@@ -1,21 +1,13 @@
-"""The package's export list matches what `guardres/__init__.py` imports,
+"""The package exports what its modules declare public, each name once,
 and importing its CLI stays off the heavy standard-library modules."""
 
-import ast
+import importlib
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
 
 import guardres
-
-
-def _imported_public_names():
-    tree = ast.parse(Path(guardres.__file__).read_text(encoding="utf-8"))
-    return {
-        alias.asname or alias.name
-        for node in tree.body if isinstance(node, ast.ImportFrom) and node.level == 1
-        for alias in node.names if not (alias.asname or alias.name).startswith("_")
-    }
 
 
 def test_every_export_imports():
@@ -25,10 +17,19 @@ def test_every_export_imports():
         assert namespace[name] is getattr(guardres, name)
 
 
-def test_every_imported_public_name_is_exported():
-    imported = _imported_public_names()
-    assert imported
-    assert imported <= set(guardres.__all__)
+def test_exports_are_the_module_declarations_each_name_once():
+    # The package's modules that declare an `__all__`, in name order.
+    names = sorted(info.name for info in pkgutil.iter_modules(guardres.__path__))
+    modules = [importlib.import_module(f"guardres.{name}") for name in names]
+    modules = [module for module in modules if hasattr(module, "__all__")]
+    assert guardres.__all__ == sum((m.__all__ for m in modules), ())
+    # Under star imports a second module exporting a name would shadow the first.
+    assert len(set(guardres.__all__)) == len(guardres.__all__)
+    for module in modules:
+        assert isinstance(module.__all__, tuple)
+        for name in module.__all__:
+            assert not name.startswith("_"), name
+            assert getattr(module, name).__module__ == module.__name__, name
 
 
 def test_cli_import_leaves_dataclasses_inspect_and_typing_out():

@@ -371,6 +371,7 @@ def test_parse_dimacs_rejects_malformed_text(text, message):
 
 def test_parse_dimacs_skips_plain_comments():
     plain = parse_dimacs("p cnf 1 1\n1 0\n")
-    commented = parse_dimacs("c hello\np cnf 1 1\n1 0\n")
+    # Blank and whitespace-only lines are skipped like comments.
+    commented = parse_dimacs("c hello\n\np cnf 1 1\n \t\n1 0\n\n")
     assert commented.atoms.names == plain.atoms.names
     assert commented.clauses == plain.clauses == (frozenset([(0, True)]),)
