@@ -13,6 +13,7 @@ from guardres import (
     build_completion,
     dung_transform,
     equivalent,
+    format_equations,
     format_interpretation,
     models_of_completion,
     parse_program,
@@ -29,16 +30,16 @@ t.
 program = parse_program(TEXT)
 fmt = lambda members: format_interpretation(program.atoms, members)
 
-theory = build_completion(program)
+equations = build_completion(program)
 print("defining equations:")
-print(theory.format(), end="")
+print(format_equations(equations, program.atoms), end="")
 print()
 
 print("their models, via the SAT layer:")
-for members in models_of_completion(theory):
+for members in models_of_completion(program, equations):
     print(f"  {fmt(members)}")
 print(f"brute-force stable models agree: "
-      f"{models_of_completion(theory) == brute_force_stable(program)}")
+      f"{models_of_completion(program, equations) == brute_force_stable(program)}")
 print()
 
 negative = dung_transform(program)
@@ -50,5 +51,5 @@ print()
 odd = parse_program("p :- not p.")
 print("a self-blocking clause keeps its self-guard, so the equation")
 print("`p <-> -p` is unsatisfiable and no stable model exists:")
-print(build_completion(odd).format(), end="")
-print(f"models: {models_of_completion(build_completion(odd))}")
+print(format_equations(build_completion(odd), odd.atoms), end="")
+print(f"models: {models_of_completion(odd, build_completion(odd))}")

@@ -15,6 +15,7 @@ from guardres import (
     format_certificate,
     format_interpretation,
     parse_program,
+    program_to_cnf,
     solve_stable,
 )
 
@@ -32,7 +33,7 @@ fmt = lambda members: format_interpretation(table, members)
 
 def describe(candidate):
     parts = []
-    for se in candidate.subequations:
+    for se in candidate:
         name = table.name(se.atom)
         if not se.supports:
             parts.append(f"-{name}")
@@ -43,6 +44,7 @@ def describe(candidate):
     return ", ".join(parts)
 
 
+base = program_to_cnf(program)
 candidates = list(candidate_theories(program))
 print(f"the program has {len(candidates)} candidate theories "
       f"(3 for p, 2 for q, 2 for t, 1 each for r and s)")
@@ -50,7 +52,7 @@ print()
 
 print("walking two of them:")
 for candidate in candidates:
-    chosen = {table.name(se.atom): se.supports for se in candidate.subequations}
+    chosen = {table.name(se.atom): se.supports for se in candidate}
     interesting = (
         chosen["t"] == (frozenset(),)
         and chosen["q"] == (frozenset({table.id_of("s")}),)
@@ -58,7 +60,7 @@ for candidate in candidates:
     )
     if not interesting:
         continue
-    models = check_candidate(program, candidate)
+    models = check_candidate(program, base, candidate)
     verdict = "inconsistent" if not models else f"model {fmt(models[0])}"
     print(f"  [{describe(candidate)}] -> {verdict}")
 print()

@@ -12,7 +12,7 @@ import argparse
 import sys
 from collections.abc import Sequence
 
-from .completion import build_completion, dung_transform, models_of_completion
+from .completion import build_completion, dung_transform, format_equations, models_of_completion
 from .core import Program, ResourceLimitError, format_interpretation
 from .guarded import format_proof, saturate_supports
 from .parse import ParseError, parse_program, render_program
@@ -25,7 +25,13 @@ from .semantics import (
     is_tight,
     is_tight_on,
 )
-from .solver import candidate_theory, format_certificate, solve_stable, support_subequation
+from .solver import (
+    candidate_cnf,
+    candidate_theory,
+    format_certificate,
+    solve_stable,
+    support_subequation,
+)
 
 
 class _CliError(Exception):
@@ -124,7 +130,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         if args.limit is not None:
             models = models[:args.limit]
     elif args.engine == "completion":
-        models = models_of_completion(build_completion(program))
+        models = models_of_completion(program, build_completion(program))
         if args.limit is not None:
             models = models[:args.limit]
     else:
@@ -161,7 +167,7 @@ def _cmd_supports(args: argparse.Namespace) -> int:
 
 def _cmd_completion(args: argparse.Namespace) -> int:
     program = _read_program(args.file)
-    print(build_completion(program).format(), end="")
+    print(format_equations(build_completion(program), program.atoms), end="")
     return 0
 
 
@@ -200,16 +206,15 @@ def _cmd_check_model(args: argparse.Namespace) -> int:
 
 def _cmd_to_dimacs(args: argparse.Namespace) -> int:
     program = _read_program(args.file)
-    if args.candidate is None:
-        theory = program_to_cnf(program)
-    else:
+    theory = program_to_cnf(program)
+    if args.candidate is not None:
         if args.candidate < 0:
             raise _CliError("--candidate INDEX must be non-negative")
         try:
             candidate = candidate_theory(program, args.candidate)
         except IndexError:
             raise _CliError(f"candidate index {args.candidate} is out of range") from None
-        theory = candidate.to_cnf()
+        theory = candidate_cnf(theory, candidate)
     print(export_dimacs(theory), end="")
     return 0
 

@@ -10,14 +10,15 @@ subsumed.
 The models come from one SAT search over the equations' linear chain
 encoding (`sat.equation_to_cnf`); its auxiliary atoms follow the
 program's atoms and are projected away, with no limit on the atom count.
-A candidate theory (`solver.py`) narrows each equation to `-p`, `p.` or
-one disjunct `p <-> -S` with its proof; those are `Equation`s too.
+The theory E_P is the tuple of the equations, one per atom in id order.
+A candidate (`solver.py`) narrows each equation to `-p`, `p.` or one
+disjunct `p <-> -S` with its proof; it is a tuple of `Equation`s too.
 """
 
 from __future__ import annotations
 
-__all__ = ("CompletionTheory", "Equation", "build_completion", "dung_transform",
-           "equivalent", "format_equation", "models_of_completion")
+__all__ = ("Equation", "build_completion", "dung_transform", "equivalent",
+           "format_equation", "format_equations", "models_of_completion")
 
 from .core import EMPTY, AtomTable, Clause, Program, Record, interpretation_key, set_field
 from .guarded import saturate_supports
@@ -56,40 +57,30 @@ def format_equation(equation: Equation, table: AtomTable) -> str:
     return f"{name} <-> " + " | ".join(disjuncts)
 
 
-class CompletionTheory(Record):
-    """One equation per atom of the program, in atom-id order."""
-
-    __slots__ = ("program", "equations")
-
-    def __init__(self, program: Program, equations: tuple):
-        set_field(self, "program", program)
-        set_field(self, "equations", equations)
-
-    def format(self) -> str:
-        table = self.program.atoms
-        return "".join(format_equation(eq, table) + "\n" for eq in self.equations)
+def format_equations(equations: tuple[Equation, ...], table: AtomTable) -> str:
+    """One equation per line."""
+    return "".join(format_equation(equation, table) + "\n" for equation in equations)
 
 
-def build_completion(program: Program) -> CompletionTheory:
-    """Saturate supports and assemble the per-atom equation theory."""
+def build_completion(program: Program) -> tuple[Equation, ...]:
+    """Saturate supports; one equation per atom of the program, in atom-id order."""
     table = saturate_supports(program)
-    equations = tuple(
-        Equation(atom, table.supports(atom)) for atom in range(len(program.atoms)))
-    return CompletionTheory(program, equations)
+    return tuple(Equation(atom, table.supports(atom)) for atom in range(len(program.atoms)))
 
 
-def models_of_completion(theory: CompletionTheory) -> list[frozenset[int]]:
+def models_of_completion(program: Program,
+                         equations: tuple[Equation, ...]) -> list[frozenset[int]]:
     """All interpretations satisfying every equation, in bitmask order.
 
     The chain atoms get ids after the program's and names longer than any
     program name, so no name is shared.  Each model of the program atoms
     extends to exactly one model of the chains, so projecting loses none.
     """
-    names = theory.program.atoms.names
+    names = program.atoms.names
     n = len(names)
     clauses = []
     next_aux = n
-    for equation in theory.equations:
+    for equation in equations:
         clauses.extend(equation_to_cnf(equation.atom, equation.supports, next_aux))
         next_aux += max(len(equation.supports) - 1, 0)
     prefix = "_" * (max(map(len, names), default=0) + 1)

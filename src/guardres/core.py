@@ -31,15 +31,16 @@ set_field = object.__setattr__  # how a record's `__init__` sets each field, onc
 class Record:
     """Immutable value record over `__slots__`.
 
-    Within one type, records are equal when the fields named by `_key` (all
-    by default) are, and hash by their tuple.  `__eq__` and `__hash__` are
-    compiled per class, as a dataclass's are, unless the class defines them.
+    Within one type, records are equal when their fields are, and hash by
+    the tuple of their fields.  `__eq__` and `__hash__` are compiled per
+    class, as a dataclass's are, unless the class defines them.  A theory
+    is not a record but a tuple of `completion.Equation` records.
     """
 
     __slots__ = ()
 
     def __init_subclass__(cls):
-        mine = "".join(f"self.{name}, " for name in cls.__dict__.get("_key", cls.__slots__))
+        mine = "".join(f"self.{name}, " for name in cls.__slots__)
         theirs = mine.replace("self.", "other.")
         namespace: dict = {}
         exec(f"def __eq__(self, other):\n"

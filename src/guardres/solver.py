@@ -2,28 +2,30 @@
 
 Per atom the search commits to a narrowed defining equation, a
 `completion.Equation` with at most one support: `-p`, `p.`, or one
-disjunct `p <-> -S` with its verifying proof.  The program clauses plus
-one such equation per atom form a candidate theory.  Every propositional
-model of a candidate is a stable model, and every stable model satisfies
-some candidate, so iterating candidates and enumerating their models is
-a sound and complete solver.  The search is one sequential walk of the
-candidates in product order; it skips a candidate whose chosen guard
-meets an atom another choice forces true, because such a candidate only
-repeats models of an earlier one.  Time is exponential in the worst
-case; per-candidate state stays linear in the program plus the
-certificate being carried (see SolveStats).
+disjunct `p <-> -S` with its verifying proof.  A candidate is the tuple
+of those equations, one per atom in id order, and it is also the
+certificate of the models it yields; `candidate_cnf` adds the program
+clauses to make it a theory of the class C_P.  Every propositional
+model of a candidate theory is a stable model, and every stable model
+satisfies some candidate, so iterating candidates and enumerating their
+models is a sound and complete solver.  The search is one sequential
+walk of the candidates in product order; it skips a candidate whose
+chosen guard meets an atom another choice forces true, because such a
+candidate only repeats models of an earlier one.  Time is exponential
+in the worst case; per-candidate state stays linear in the program plus
+the certificate being carried (see SolveStats).
 """
 
 from __future__ import annotations
 
-__all__ = ("CandidateTheory", "SolveStats", "candidate_theories", "candidate_theory",
+__all__ = ("SolveStats", "candidate_cnf", "candidate_theories", "candidate_theory",
            "check_candidate", "format_certificate", "solve_stable")
 
 from collections.abc import Iterator
 from itertools import product
 
 from .completion import Equation, format_equation
-from .core import Program, Record, format_interpretation, set_field
+from .core import Program, Record, format_interpretation
 from .guarded import (
     ProofError,
     ProofTree,
@@ -50,37 +52,6 @@ def support_subequation(program: Program, atom: int, guard: frozenset[int],
             f"proof concludes atom id {root.head} with guard {sorted(root.neg_body)}, "
             f"expected atom id {atom} with guard {sorted(guard)}")
     return Equation(atom, (guard,), (proof,))
-
-
-class CandidateTheory(Record):
-    """Program CNF plus one narrowed equation per atom, in id order; equal by content."""
-
-    __slots__ = ("base", "subequations")
-    _key = ("subequations", "base.clauses")
-
-    def __init__(self, base: CnfTheory, subequations: tuple):
-        # An equation with two or more supports drops out, so the ids then differ.
-        narrowed = [se.atom for se in subequations if len(se.supports) < 2]
-        if narrowed != list(range(len(base.atoms))):
-            raise ValueError("candidate needs exactly one narrowed equation per atom, in order")
-        set_field(self, "base", base)
-        set_field(self, "subequations", subequations)
-
-    def to_cnf(self) -> CnfTheory:
-        clauses = list(self.base.clauses)
-        n = len(self.base.atoms)
-        for se in self.subequations:
-            clauses.extend(equation_to_cnf(se.atom, se.supports, n))
-        return CnfTheory(self.base.atoms, clauses)
-
-    def certificate_size(self) -> int:
-        """One unit per equation, guard atom, and proof-tree node."""
-        total = 0
-        for se in self.subequations:
-            total += 1 + sum(map(len, se.supports))
-            for proof in se.proofs:
-                total += proof.size()
-        return total
 
 
 class SolveStats(Record):
@@ -111,9 +82,8 @@ class SolveStats(Record):
         self.max_certificate_size = max_certificate_size
 
 
-def _choices(program: Program) -> tuple[CnfTheory, list[list[Equation]]]:
-    """Program CNF, and per atom `-p` then each certified stored support."""
-    base = program_to_cnf(program)
+def _choices(program: Program) -> list[list[Equation]]:
+    """Per atom `-p`, then each certified stored support."""
     table = saturate_supports(program)
     choices = []
     for atom in range(len(program.atoms)):
@@ -121,11 +91,11 @@ def _choices(program: Program) -> tuple[CnfTheory, list[list[Equation]]]:
         for guard, proof in table.certificates(atom).items():
             options.append(support_subequation(program, atom, guard, proof))
         choices.append(options)
-    return base, choices
+    return choices
 
 
-def candidate_theories(program: Program) -> Iterator[CandidateTheory]:
-    """All candidate theories, lazily, in a fixed deterministic order.
+def candidate_theories(program: Program) -> Iterator[tuple[Equation, ...]]:
+    """All candidates, lazily, in a fixed deterministic order.
 
     Per atom the choices are `-p` first, then the subset-minimal supports
     in lazy-enumeration order (each certified by its proof); the product
@@ -133,30 +103,41 @@ def candidate_theories(program: Program) -> Iterator[CandidateTheory]:
     loses no stable model: an admitted support stays admitted after
     shrinking to a minimal one.
     """
-    base, choices = _choices(program)
-    for combo in product(*choices):
-        yield CandidateTheory(base, combo)
+    yield from product(*_choices(program))
 
 
-def candidate_theory(program: Program, index: int) -> CandidateTheory:
+def candidate_theory(program: Program, index: int) -> tuple[Equation, ...]:
     """Candidate `index` of `candidate_theories`, without walking the product.
 
     The index is read in mixed radix, the highest atom id fastest; past
     the product of (1 + stored supports) it raises IndexError.
     """
-    base, choices = _choices(program)
     combo, rest = [], index
-    for options in reversed(choices):
+    for options in reversed(_choices(program)):
         rest, digit = divmod(rest, len(options))
         combo.append(options[digit])
     if index < 0 or rest:
         raise IndexError(f"candidate index {index} is out of range")
-    return CandidateTheory(base, tuple(reversed(combo)))
+    return tuple(reversed(combo))
 
 
-def check_candidate(program: Program, candidate: CandidateTheory) -> list[frozenset[int]]:
-    """Models of one candidate; each is re-checked stable before returning."""
-    models = enumerate_models(candidate.to_cnf())
+def candidate_cnf(base: CnfTheory, candidate: tuple[Equation, ...]) -> CnfTheory:
+    """The program CNF `base`, then the clauses of each narrowed equation."""
+    # An equation with two or more supports drops out, so the ids then differ.
+    narrowed = [equation.atom for equation in candidate if len(equation.supports) < 2]
+    n = len(base.atoms)
+    if narrowed != list(range(n)):
+        raise ValueError("candidate needs exactly one narrowed equation per atom, in order")
+    clauses = list(base.clauses)
+    for equation in candidate:
+        clauses.extend(equation_to_cnf(equation.atom, equation.supports, n))
+    return CnfTheory(base.atoms, clauses)
+
+
+def check_candidate(program: Program, base: CnfTheory,
+                    candidate: tuple[Equation, ...]) -> list[frozenset[int]]:
+    """Models of one candidate over the program CNF `base`; each re-checked stable."""
+    models = enumerate_models(candidate_cnf(base, candidate))
     for members in models:
         if not is_stable(program, members):
             raise RuntimeError(
@@ -165,7 +146,7 @@ def check_candidate(program: Program, candidate: CandidateTheory) -> list[frozen
     return models
 
 
-def _prunable(candidate: CandidateTheory) -> bool:
+def _prunable(candidate: tuple[Equation, ...]) -> bool:
     """Chosen guard mentions an atom another choice forces true.
 
     Such a choice `q <-> -S` makes `q` false in every model.  Choosing
@@ -173,22 +154,21 @@ def _prunable(candidate: CandidateTheory) -> bool:
     superset of the models, so a pruned candidate never holds the first
     occurrence of a model.
     """
-    forced_true = {
-        se.atom for se in candidate.subequations
-        if se.supports and not se.supports[0]
-    }
-    return any(se.supports and (se.supports[0] & forced_true) for se in candidate.subequations)
+    forced_true = {eq.atom for eq in candidate if eq.supports and not eq.supports[0]}
+    return any(eq.supports and (eq.supports[0] & forced_true) for eq in candidate)
 
 
 def _account(stats: SolveStats | None, program: Program,
-             candidate: CandidateTheory) -> None:
+             candidate: tuple[Equation, ...]) -> None:
     if stats is None:
         return
     stats.candidates_checked += 1
     n = len(program.atoms)
-    subeq_literals = sum(len(c) for se in candidate.subequations
-                         for c in equation_to_cnf(se.atom, se.supports, n))
-    certificate = candidate.certificate_size()
+    subeq_literals = 0
+    certificate = 0  # one unit per equation, guard atom, and proof-tree node
+    for eq in candidate:
+        subeq_literals += sum(map(len, equation_to_cnf(eq.atom, eq.supports, n)))
+        certificate += 1 + sum(map(len, eq.supports)) + sum(proof.size() for proof in eq.proofs)
     state = subeq_literals + certificate + n
     stats.peak_candidate_state = max(stats.peak_candidate_state, state)
     stats.max_certificate_size = max(stats.max_certificate_size, certificate)
@@ -198,10 +178,10 @@ def solve_stable(program: Program, limit: int | None = None, *,
                  stats: SolveStats | None = None) -> list:
     """Stable models with certificates, deduplicated, in candidate order.
 
-    Returns `(model, candidate)` pairs; the candidate carries the chosen
-    subequation per atom and the verifying proof tree for every positive
-    choice.  Each model is paired with the first candidate that has it.
-    Candidates are walked once, in product order; prunable ones are
+    Returns `(model, candidate)` pairs; the candidate is the tuple of the
+    chosen equation per atom, with the verifying proof tree of every
+    positive choice.  Each model is paired with the first candidate that
+    has it.  Candidates are walked once, in product order; prunable ones are
     skipped because they only repeat models already emitted.  `limit`
     stops after that many distinct models.
     """
@@ -209,13 +189,14 @@ def solve_stable(program: Program, limit: int | None = None, *,
         stats.program_size = program.size()
     if limit is not None and limit <= 0:
         return []
+    base = program_to_cnf(program)
     results = []
     emitted: set[frozenset[int]] = set()
     for candidate in candidate_theories(program):
         if _prunable(candidate):
             continue
         _account(stats, program, candidate)
-        for model in check_candidate(program, candidate):
+        for model in check_candidate(program, base, candidate):
             if model not in emitted:
                 emitted.add(model)
                 results.append((model, candidate))
@@ -228,11 +209,11 @@ def solve_stable(program: Program, limit: int | None = None, *,
 
 
 def format_certificate(program: Program, model: frozenset[int],
-                       candidate: CandidateTheory) -> str:
+                       candidate: tuple[Equation, ...]) -> str:
     """Per-model block: the chosen equations, each proof under its choice."""
     table = program.atoms
     lines = [f"model {format_interpretation(table, model)}"]
-    for equation in candidate.subequations:
+    for equation in candidate:
         lines.append("  " + format_equation(equation, table))
         for proof in equation.proofs:
             for line in format_proof(proof, table).splitlines():

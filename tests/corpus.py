@@ -11,7 +11,8 @@ SAT layer's exact assignments and model lists, the naive saturation
 loop and recursive lazy enumeration as references for the guarded
 layer's exact support tables and `(guard, proof)` streams, and the
 unpruned candidate walk as the reference for the solver's model order
-and certificates.
+and certificates.  A model's certificate is also rebuilt from it atom
+by atom, from the guarded layer's references alone.
 """
 
 from __future__ import annotations
@@ -25,11 +26,13 @@ from guardres import (
     AtomTable,
     Clause,
     CnfTheory,
+    Equation,
     Program,
     candidate_theories,
     check_candidate,
     gl_operator,
     parse_program,
+    program_to_cnf,
 )
 from guardres.core import ResourceLimitError, interpretation_key
 from guardres.guarded import (
@@ -488,6 +491,42 @@ def reference_certificate(program: Program, atom: int, guard: frozenset) -> Proo
     raise KeyError(guard)
 
 
+def reference_choices(program: Program) -> list:
+    """Per atom, its stored minimal guards with their first reference proofs.
+
+    The guards come from the naive saturation loop, in the order they
+    first appear in the recursive lazy stream.
+    """
+    table = reference_saturate_supports(program)
+    choices = []
+    for atom in range(len(program.atoms)):
+        stored = set(table.supports(atom))
+        first: dict = {}
+        for guard, proof in reference_enumerate_supports(program, atom):
+            if len(first) == len(stored):
+                break
+            if guard in stored:
+                first.setdefault(guard, proof)
+        choices.append(list(first.items()))
+    return choices
+
+
+def reference_model_certificate(choices: list, model: frozenset) -> tuple:
+    """The certificate of `model`, fixed atom by atom from `reference_choices`.
+
+    `-p` for every atom outside the model; for every atom in it, the
+    first of its guards that the model avoids, with that guard's proof.
+    """
+    certificate = []
+    for atom, options in enumerate(choices):
+        if atom not in model:
+            certificate.append(Equation(atom, ()))
+            continue
+        guard, proof = next((g, t) for g, t in options if not g & model)
+        certificate.append(Equation(atom, (guard,), (proof,)))
+    return tuple(certificate)
+
+
 def check_guarded_layer(program: Program, stream_cap: int | None = None) -> None:
     """Assert the guarded layer reproduces the references exactly.
 
@@ -515,10 +554,11 @@ def reference_solve_stable(program: Program, limit: int | None = None) -> list:
     """Every candidate in product order, unpruned; each model with its first candidate."""
     if limit is not None and limit <= 0:
         return []
+    base = program_to_cnf(program)
     results = []
     emitted = set()
     for candidate in candidate_theories(program):
-        for model in check_candidate(program, candidate):
+        for model in check_candidate(program, base, candidate):
             if model in emitted:
                 continue
             emitted.add(model)

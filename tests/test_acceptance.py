@@ -19,6 +19,7 @@ from guardres import (
     all_interpretations,
     brute_force_stable,
     build_completion,
+    candidate_cnf,
     candidate_theories,
     candidate_theory,
     check_candidate,
@@ -34,6 +35,7 @@ from guardres import (
     is_supported,
     is_tight_on,
     models_of_completion,
+    program_to_cnf,
     saturate_supports,
     solve_stable,
     verify_proof,
@@ -51,9 +53,11 @@ from corpus import (
     random_cnf,
     random_program,
     random_tight_program,
+    reference_choices,
     reference_dpll_solve,
     reference_enumerate_models,
     reference_equation_to_cnf,
+    reference_model_certificate,
     reference_solve_stable,
     truth_table_models,
 )
@@ -105,13 +109,11 @@ def test_criterion_01_worked_example(tmp_path, capsys):
         }
 
         model = members_of(program, "p", "q", "t")
-        assert models_of_completion(build_completion(program)) == [model]
+        assert models_of_completion(program, build_completion(program)) == [model]
 
         by_choice = {}
         for candidate in candidate_theories(program):
-            chosen = {
-                name(se.atom): se.supports for se in candidate.subequations
-            }
+            chosen = {name(se.atom): se.supports for se in candidate}
             if chosen[name(program.atoms.id_of("q"))] != (members_of(program, "s"),):
                 continue
             if chosen["t"] != (frozenset(),):
@@ -119,8 +121,9 @@ def test_criterion_01_worked_example(tmp_path, capsys):
             by_choice[chosen["p"]] = candidate
         unsat_candidate = by_choice[()]
         sat_candidate = by_choice[(members_of(program, "r"),)]
-        assert dpll_solve(unsat_candidate.to_cnf()) is None
-        assert check_candidate(program, sat_candidate) == [model]
+        base = program_to_cnf(program)
+        assert dpll_solve(candidate_cnf(base, unsat_candidate)) is None
+        assert check_candidate(program, base, sat_candidate) == [model]
 
         path = tmp_path / "example.lp"
         path.write_text(EXAMPLE_TEXT)
@@ -141,7 +144,7 @@ def test_criterion_02_supports_characterize_reduct_operator(corpus):
 def test_criterion_03_completion_models_are_stable_models(corpus):
     with criterion(3, "defining-equation models equal stable models"):
         for program in corpus:
-            assert models_of_completion(build_completion(program)) == \
+            assert models_of_completion(program, build_completion(program)) == \
                 brute_force_stable(program)
 
 
@@ -152,7 +155,7 @@ def test_criterion_03_equation_clauses_match_reference(corpus):
     for program in corpus:
         names = program.atoms.names
         program_atoms = frozenset(range(len(names)))
-        for equation in build_completion(program).equations:
+        for equation in build_completion(program):
             expected = truth_table_models(CnfTheory(
                 program.atoms, reference_equation_to_cnf(equation.atom, equation.supports)))
             chain = [f"chain{i}" for i in range(len(equation.supports) - 1)]
@@ -167,9 +170,10 @@ def test_criterion_03_equation_clauses_match_reference(corpus):
 def test_criterion_04_candidate_search_sound_and_complete(corpus):
     with criterion(4, "candidate theories sound and complete"):
         for program in corpus:
+            base = program_to_cnf(program)
             found = set()
             for candidate in candidate_theories(program):
-                models = check_candidate(program, candidate)
+                models = check_candidate(program, base, candidate)
                 for members in models:
                     assert is_stable(program, members)
                 found.update(models)
@@ -184,6 +188,18 @@ def test_criterion_04_certificates_match_unpruned_reference(corpus):
                         for model, candidate in reference_solve_stable(program, limit)]
             assert [format_certificate(program, model, candidate)
                     for model, candidate in solve_stable(program, limit)] == expected
+
+
+def test_criterion_04_certificate_is_a_function_of_its_model(corpus):
+    """Each model's certificate is fixed atom by atom: `-p` off the model,
+    and on it the first reference guard the model avoids, with its proof."""
+    checked = 0
+    for program in corpus:
+        choices = reference_choices(program)
+        for model, candidate in solve_stable(program):
+            assert candidate == reference_model_certificate(choices, model)
+            checked += 1
+    assert checked > 0
 
 
 def test_candidate_theory_indexes_the_product(corpus):
@@ -255,7 +271,7 @@ def test_criterion_09_proof_certificates_reverify(corpus):
                     assert root == Clause(atom, frozenset(), guard)
                     checked += 1
             for _, candidate in solve_stable(program):
-                for se in candidate.subequations:
+                for se in candidate:
                     for guard, proof in zip(se.supports, se.proofs):
                         assert verify_proof(proof, program) == \
                             Clause(se.atom, frozenset(), guard)

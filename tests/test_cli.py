@@ -170,7 +170,9 @@ def test_supports_proofs_golden_example(example_file, capsys):
     (["completion"], "example_completion.txt"),
     (["check-model", "--model", "{p, q, t}"], "example_check_model_stable.txt"),
     (["check-model", "--model", "{p, t}"], "example_check_model_unstable.txt"),
-], ids=["negate", "completion", "check-model-stable", "check-model-unstable"])
+    (["to-dimacs", "--candidate", "5"], "example_dimacs_candidate_5.txt"),
+], ids=["negate", "completion", "check-model-stable", "check-model-unstable",
+        "to-dimacs-candidate-5"])
 def test_example_golden(example_file, capsys, argv, golden):
     assert run([argv[0], example_file, *argv[1:]]) == 0
     assert capsys.readouterr().out == (GOLDEN / golden).read_text()

@@ -12,6 +12,7 @@ from guardres import (
     dung_transform,
     equivalent,
     format_equation,
+    format_equations,
     models_of_completion,
     render_program,
     saturate_supports,
@@ -22,17 +23,17 @@ from guardres.core import interpretation_key
 from corpus import all_supports, example_program, members_of, prog, random_program
 
 
-def _equation_map(theory):
-    name = theory.program.atoms.name
+def _equation_map(program, equations):
+    name = program.atoms.name
     return {
         name(eq.atom): {frozenset(name(a) for a in s) for s in eq.supports}
-        for eq in theory.equations
+        for eq in equations
     }
 
 
 def test_build_completion_worked_example():
-    theory = build_completion(example_program())
-    assert _equation_map(theory) == {
+    program = example_program()
+    assert _equation_map(program, build_completion(program)) == {
         "p": {frozenset({"q"}), frozenset({"r"})},
         "t": {frozenset()},
         "q": {frozenset({"s"})},
@@ -42,23 +43,26 @@ def test_build_completion_worked_example():
 
 
 def test_build_completion_self_guard():
-    theory = build_completion(prog("p :- not p."))
-    assert _equation_map(theory) == {
+    program = prog("p :- not p.")
+    equations = build_completion(program)
+    assert _equation_map(program, equations) == {
         "p": {frozenset({"p"})},
     }
-    assert models_of_completion(theory) == []
-    assert brute_force_stable(theory.program) == []
+    assert models_of_completion(program, equations) == []
+    assert brute_force_stable(program) == []
 
 
 def test_build_completion_unclaused_atom_is_negative():
     table = AtomTable(["a"])
-    theory = build_completion(Program(table, []))
-    assert _equation_map(theory) == {"a": set()}
-    assert models_of_completion(theory) == [frozenset()]
+    program = Program(table, [])
+    equations = build_completion(program)
+    assert _equation_map(program, equations) == {"a": set()}
+    assert models_of_completion(program, equations) == [frozenset()]
 
 
 def test_completion_format_golden():
-    assert build_completion(example_program()).format() == (
+    program = example_program()
+    assert format_equations(build_completion(program), program.atoms) == (
         "p <-> -q | -r\n"
         "t.\n"
         "q <-> -s\n"
@@ -69,13 +73,13 @@ def test_completion_format_golden():
 
 def test_models_of_completion_worked_example():
     program = example_program()
-    theory = build_completion(program)
-    assert models_of_completion(theory) == [members_of(program, "p", "q", "t")]
+    equations = build_completion(program)
+    assert models_of_completion(program, equations) == [members_of(program, "p", "q", "t")]
 
 
 def test_models_of_completion_single_fact():
-    theory = build_completion(prog("t."))
-    assert models_of_completion(theory) == [frozenset([0])]
+    program = prog("t.")
+    assert models_of_completion(program, build_completion(program)) == [frozenset([0])]
 
 
 def _choice_pairs_text(pairs: int) -> str:
@@ -90,7 +94,7 @@ def test_models_of_completion_past_atom_count_of_brute_force():
          for picks in product((0, 1), repeat=11)),
         key=interpretation_key)
     assert len(expected) == 2 ** 11
-    assert models_of_completion(build_completion(program)) == expected
+    assert models_of_completion(program, build_completion(program)) == expected
 
 
 @pytest.mark.parametrize("text", [
@@ -102,7 +106,7 @@ def test_models_of_completion_past_atom_count_of_brute_force():
 ], ids=["45-two-atom-supports", "6-disjoint-8-atom-supports"])
 def test_models_of_completion_many_supports_match_candidate_engine(text):
     program = prog(text)
-    models = models_of_completion(build_completion(program))
+    models = models_of_completion(program, build_completion(program))
     assert models == [members_of(program, "p")]
     assert models == [model for model, _ in solve_stable(program)]
 
@@ -116,12 +120,12 @@ def test_models_of_completion_atom_names_like_chain_names():
                    "___0 :- not __0.\n"
                    "___1 :- not _.\n"
                    "___1 :- not __0.\n")
-    theory = build_completion(program)
-    assert all(len(eq.supports) == 2 for eq in theory.equations
+    equations = build_completion(program)
+    assert all(len(eq.supports) == 2 for eq in equations
                if program.atoms.name(eq.atom) in ("_", "___1"))
-    assert models_of_completion(theory) == brute_force_stable(program)
+    assert models_of_completion(program, equations) == brute_force_stable(program)
     assert {model for model, _ in solve_stable(program)} == \
-        set(models_of_completion(theory))
+        set(models_of_completion(program, equations))
 
 
 def test_dung_transform_worked_example():
@@ -161,8 +165,8 @@ def test_completion_matches_oracle_on_random_corpus():
     rng = random.Random(1717)
     for _ in range(60):
         program = random_program(rng, max_atoms=6, max_clauses=10)
-        theory = build_completion(program)
-        assert models_of_completion(theory) == brute_force_stable(program)
+        equations = build_completion(program)
+        assert models_of_completion(program, equations) == brute_force_stable(program)
 
 
 def test_minimal_antichain_equations_match_full_support_equations():
@@ -171,11 +175,11 @@ def test_minimal_antichain_equations_match_full_support_equations():
     rng = random.Random(2718)
     for _ in range(60):
         program = random_program(rng, max_atoms=6, max_clauses=9)
-        theory = build_completion(program)
+        equations = build_completion(program)
         full = all_supports(program)
         n = len(program.atoms)
         for members in all_interpretations(n):
-            minimal_ok = all(eq.holds_in(members) for eq in theory.equations)
+            minimal_ok = all(eq.holds_in(members) for eq in equations)
             full_ok = all(
                 (atom in members) == any(not (s & members) for s in full[atom])
                 for atom in range(n))
@@ -187,8 +191,7 @@ def test_shape_law_on_random_corpus():
     for _ in range(60):
         program = random_program(rng, max_atoms=6, max_clauses=9)
         table = saturate_supports(program)
-        theory = build_completion(program)
-        for eq in theory.equations:
+        for eq in build_completion(program):
             supports = table.supports(eq.atom)
             assert eq.supports == supports
             # The empty guard is the whole antichain, and prints as `p.`.

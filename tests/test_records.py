@@ -12,18 +12,13 @@ import pytest
 
 from guardres import (
     AtomTable,
-    CandidateTheory,
     Clause,
-    CompletionTheory,
     Equation,
     Program,
     ProofError,
     ProofTree,
     SolveStats,
     SourceSpan,
-    build_completion,
-    candidate_theories,
-    candidate_theory,
     gl_reduct,
     guarded_resolve,
     verify_proof,
@@ -35,11 +30,9 @@ from corpus import example_program
 def _records():
     """Per record type: its id, fields, two equal builds, an unequal one, and the repr."""
     program = example_program()
-    first = next(candidate_theories(program))
     a, b = frozenset([1]), frozenset([2])
     leaf = Clause(3, frozenset(), frozenset())
     reduct = gl_reduct(program, frozenset())
-    completion = build_completion(program)
     return [
         ("Clause", ("head", "pos_body", "neg_body"), lambda: Clause(0, a, b), Clause(0, b, a),
          "Clause(head=0, pos_body=frozenset({1}), neg_body=frozenset({2}))"),
@@ -67,14 +60,6 @@ def _records():
          lambda: Equation(0, (a,), (ProofTree(leaf),)), Equation(0, (a,)),
          "Equation(atom=0, supports=(frozenset({1}),), proofs=(ProofTree("
          "Clause(head=3, pos_body=frozenset(), neg_body=frozenset()), size=1),))"),
-        ("CompletionTheory", ("program", "equations"),
-         lambda: CompletionTheory(program, completion.equations),
-         CompletionTheory(program, completion.equations[1:]),
-         f"CompletionTheory(program={program!r}, equations={completion.equations!r})"),
-        ("CandidateTheory", ("base", "subequations"),
-         lambda: CandidateTheory(first.base, first.subequations),
-         candidate_theory(program, 1),
-         f"CandidateTheory(base={first.base!r}, subequations={first.subequations!r})"),
     ]
 
 
@@ -96,10 +81,10 @@ def test_record_equality_and_hash(fields, build, other, expected):
     assert len({one, two, other}) == 2
 
 
-# ProofTree hashes by shape and CandidateTheory by content, not by their fields.
+# ProofTree hashes by shape, not by its fields.
 @pytest.mark.parametrize("fields, build, other, expected", _only(
     "Clause", "GuardedAtom", "GuardedClause", "SourceSpan", "HornClause",
-    "Equation", "CompletionTheory"))
+    "Equation"))
 def test_record_hash_is_the_field_tuple_hash(fields, build, other, expected):
     # So a set of records iterates in the same order as it always has.
     record = build()
@@ -123,10 +108,7 @@ def test_record_fields_are_read_only(fields, build, other, expected):
         assert getattr(record, name) is value
 
 
-# Records holding an AtomTable, Program or CnfTheory compare those by identity.
-@pytest.mark.parametrize("fields, build, other, expected", _only(
-    "Clause", "GuardedAtom", "GuardedClause", "ProofTree", "SourceSpan", "HornClause",
-    "Equation"))
+@pytest.mark.parametrize("fields, build, other, expected", RECORDS)
 def test_record_copy_and_pickle_round_trip(fields, build, other, expected):
     record = build()
     assert copy.copy(record) == record

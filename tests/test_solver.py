@@ -5,7 +5,6 @@ from hypothesis import given, settings
 
 from guardres import (
     AtomTable,
-    CandidateTheory,
     Clause,
     Equation,
     Program,
@@ -14,11 +13,13 @@ from guardres import (
     SolveStats,
     brute_force_stable,
     build_completion,
+    candidate_cnf,
     candidate_theories,
     candidate_theory,
     check_candidate,
     format_certificate,
     models_of_completion,
+    program_to_cnf,
     saturate_supports,
     solve_stable,
     verify_proof,
@@ -31,6 +32,9 @@ from corpus import (
     names_of,
     prog,
     random_program,
+    reference_choices,
+    reference_model_certificate,
+    reference_solve_stable,
     small_programs,
 )
 
@@ -38,7 +42,7 @@ from corpus import (
 def _choice_names(program, candidate):
     name = program.atoms.name
     chosen = {}
-    for se in candidate.subequations:
+    for se in candidate:
         chosen[name(se.atom)] = (None if not se.supports
                                  else frozenset(name(a) for a in se.supports[0]))
     return chosen
@@ -50,7 +54,7 @@ def test_candidate_counts_worked_example():
     assert len(candidates) == 12  # 3 * 2 * 2 * 1 * 1 per-atom choices
     per_atom = {}
     for candidate in candidates:
-        for se in candidate.subequations:
+        for se in candidate:
             per_atom.setdefault(se.atom, set()).add(se.supports)
     name = program.atoms.name
     counts = {name(a): len(guards) for a, guards in per_atom.items()}
@@ -60,12 +64,12 @@ def test_candidate_counts_worked_example():
 def test_candidate_choices_negative_first_then_enumeration_order():
     program = example_program()
     first = next(iter(candidate_theories(program)))
-    assert all(not se.supports for se in first.subequations
+    assert all(not se.supports for se in first
                if program.atoms.name(se.atom) in ("p", "q"))
     p = program.atoms.id_of("p")
     orders = []
     for candidate in candidate_theories(program):
-        supports = candidate.subequations[p].supports
+        supports = candidate[p].supports
         if supports not in orders:
             orders.append(supports)
     assert [None if not s else names_of(program, s[0]) for s in orders] == [
@@ -86,7 +90,6 @@ def test_candidate_theory_decodes_index_worked_example():
 def test_candidate_equality_ignores_the_base_object():
     program = example_program()
     decoded, walked = candidate_theory(program, 0), next(candidate_theories(program))
-    assert decoded.base is not walked.base
     assert decoded == walked and hash(decoded) == hash(walked)
     assert candidate_theory(program, 1) != candidate_theory(program, 2)
     candidates = list(candidate_theories(program))
@@ -99,18 +102,19 @@ def test_candidate_rejects_multi_support_equation():
     first = candidate_theory(program, 0)
     p = program.atoms.id_of("p")
     table = saturate_supports(program)
-    subequations = list(first.subequations)
-    subequations[p] = Equation(p, table.supports(p))
+    equations = list(first)
+    equations[p] = Equation(p, table.supports(p))
     with pytest.raises(ValueError):
-        CandidateTheory(first.base, tuple(subequations))
+        candidate_cnf(program_to_cnf(program), tuple(equations))
 
 
 def test_candidates_single_fact():
     program = prog("t.")
+    base = program_to_cnf(program)
     candidates = list(candidate_theories(program))
     assert len(candidates) == 2
-    assert check_candidate(program, candidates[0]) == []          # -t contradicts t
-    assert check_candidate(program, candidates[1]) == [frozenset([0])]
+    assert check_candidate(program, base, candidates[0]) == []    # -t contradicts t
+    assert check_candidate(program, base, candidates[1]) == [frozenset([0])]
 
 
 def test_candidates_empty_program_over_one_atom():
@@ -118,18 +122,19 @@ def test_candidates_empty_program_over_one_atom():
     program = Program(table, [])
     candidates = list(candidate_theories(program))
     assert len(candidates) == 1
-    assert check_candidate(program, candidates[0]) == [frozenset()]
+    assert check_candidate(program, program_to_cnf(program), candidates[0]) == [frozenset()]
 
 
 def test_check_candidate_worked_example():
     program = example_program()
+    base = program_to_cnf(program)
     outcomes = {}
     for candidate in candidate_theories(program):
         chosen = _choice_names(program, candidate)
         if chosen["t"] is None or chosen["q"] != frozenset({"s"}):
             continue
         key = chosen["p"]
-        outcomes[key] = check_candidate(program, candidate)
+        outcomes[key] = check_candidate(program, base, candidate)
     assert outcomes[None] == []                    # the inconsistent candidate
     assert outcomes[frozenset({"q"})] == []        # admits nothing: q is in the model
     assert outcomes[frozenset({"r"})] == [members_of(program, "p", "q", "t")]
@@ -151,7 +156,7 @@ def test_solve_worked_example_certificate():
     assert text.splitlines()[0] == "model {p, q, t}"
     assert "p <-> -r" in text
     assert "q <-> -s" in text
-    for se in candidate.subequations:
+    for se in candidate:
         for guard, proof in zip(se.supports, se.proofs):
             assert verify_proof(proof, program) == Clause(se.atom, frozenset(), guard)
 
@@ -213,8 +218,26 @@ def test_candidates_that_only_repeat_models_are_skipped():
 @given(small_programs())
 def test_engines_agree_property(program):
     found = {m for m, _ in solve_stable(program)}
-    assert found == set(models_of_completion(build_completion(program)))
+    assert found == set(models_of_completion(program, build_completion(program)))
     assert found == set(brute_force_stable(program))
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_programs())
+def test_certificate_is_a_function_of_its_model_property(program):
+    choices = reference_choices(program)
+    for model, candidate in solve_stable(program):
+        assert candidate == reference_model_certificate(choices, model)
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_programs())
+def test_solve_matches_unpruned_reference_property(program):
+    for limit in (None, 1, 2):
+        expected = [format_certificate(program, model, candidate)
+                    for model, candidate in reference_solve_stable(program, limit)]
+        assert [format_certificate(program, model, candidate)
+                for model, candidate in solve_stable(program, limit)] == expected
 
 
 def test_space_instrumentation_within_documented_bound():
