@@ -127,16 +127,13 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     certificates = {}
     if args.engine == "brute":
         models = brute_force_stable(program)
-        if args.limit is not None:
-            models = models[:args.limit]
     elif args.engine == "completion":
         models = models_of_completion(program, build_completion(program))
-        if args.limit is not None:
-            models = models[:args.limit]
     else:
         pairs = solve_stable(program, args.limit)
         models = [model for model, _ in pairs]
         certificates = {model: candidate for model, candidate in pairs}
+    models = models[:args.limit]
     name = program.atoms.name
     out: list[str] = []
     # Distinct models have distinct name lists, so no two frozensets are compared.

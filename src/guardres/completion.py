@@ -20,7 +20,7 @@ from __future__ import annotations
 __all__ = ("Equation", "build_completion", "dung_transform", "equivalent",
            "format_equation", "format_equations", "models_of_completion")
 
-from .core import EMPTY, AtomTable, Clause, Program, Record, interpretation_key, set_field
+from .core import EMPTY, AtomTable, Clause, Program, Record, set_field
 from .guarded import saturate_supports
 from .sat import CnfTheory, enumerate_models, equation_to_cnf
 from .semantics import brute_force_stable
@@ -75,6 +75,8 @@ def models_of_completion(program: Program,
     The chain atoms get ids after the program's and names longer than any
     program name, so no name is shared.  Each model of the program atoms
     extends to exactly one model of the chains, so projecting loses none.
+    Branching on the program atoms from the highest id down, then on the
+    chain atoms (propagation has already fixed them), keeps that order.
     """
     names = program.atoms.names
     n = len(names)
@@ -85,10 +87,10 @@ def models_of_completion(program: Program,
         next_aux += max(len(equation.supports) - 1, 0)
     prefix = "_" * (max(map(len, names), default=0) + 1)
     table = AtomTable([*names, *(f"{prefix}{i}" for i in range(next_aux - n))])
+    order = [*range(n - 1, -1, -1), *range(n, next_aux)]
     program_atoms = frozenset(range(n))
-    models = [model & program_atoms
-              for model in enumerate_models(CnfTheory(table, clauses))]
-    return sorted(models, key=interpretation_key)
+    return [model & program_atoms
+            for model in enumerate_models(CnfTheory(table, clauses), order)]
 
 
 def dung_transform(program: Program) -> Program:

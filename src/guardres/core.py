@@ -183,14 +183,6 @@ def format_interpretation(table: AtomTable, members: frozenset[int]) -> str:
     return "{" + ", ".join(sorted(table.name(a) for a in members)) + "}"
 
 
-def interpretation_key(members: frozenset[int]) -> int:
-    """Bitmask with bit i set iff atom id i is a member; the canonical order."""
-    key = 0
-    for atom_id in members:
-        key |= 1 << atom_id
-    return key
-
-
 def all_interpretations(atom_count: int) -> Iterator[frozenset[int]]:
     """Every subset of `range(atom_count)` in ascending bitmask order."""
     for mask in range(1 << atom_count):

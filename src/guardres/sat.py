@@ -3,10 +3,12 @@
 Literals are `(atom_id, polarity)` pairs, and a CNF clause is the
 frozenset of its literals.  The solver is deliberately minimal — unit
 propagation over per-literal occurrence lists plus chronological
-backtracking on an explicit trail, with a fixed branching order (lowest
-unassigned atom id, false first) — so model orders are reproducible and
-golden tests stay byte-stable.  Enumeration is the same search continued
-past each model, with no blocking clauses and no restarts.  A defining
+backtracking on an explicit trail, with a static branching order, each
+atom false first — so model orders are reproducible and golden tests
+stay byte-stable.  `dpll_solve` branches from the lowest atom id up.
+Enumeration is the same search continued past each model, with no
+blocking clauses, no restarts and no sort: branching from the highest id
+down, it meets the models in ascending bitmask order.  A defining
 equation, or a candidate theory's narrowed one, is encoded linearly,
 through a chain of auxiliary atoms (`equation_to_cnf`).
 """
@@ -16,9 +18,9 @@ from __future__ import annotations
 __all__ = ("CnfTheory", "dpll_solve", "enumerate_models", "export_dimacs",
            "parse_dimacs", "program_to_cnf")
 
-from collections.abc import Iterable, Iterator, Mapping
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 
-from .core import AtomTable, Program, interpretation_key
+from .core import AtomTable, Program
 
 # (atom id, polarity); (3, False) reads "atom 3 is false".
 Literal = tuple
@@ -155,15 +157,15 @@ def _assign(atom: int, value: bool, clauses: list[tuple],
     return True
 
 
-def _search(theory: CnfTheory,
+def _search(theory: CnfTheory, order: Sequence[int],
             assumptions: Mapping[int, bool] | None = None) -> Iterator[frozenset[int]]:
     """Yield every model extending `assumptions`, in depth-first order.
 
     One search per call: the clauses are compiled once, assignments live
     on an explicit trail, and after each total model the search simply
-    backtracks and continues.  Branching takes the lowest unassigned atom
-    id, false first, so the first model yielded is the one `dpll_solve`
-    returns.
+    backtracks and continues.  Branching takes the first unassigned atom
+    of `order`, a permutation of the atom ids, false first, so the models
+    arrive in lexicographic order over `order`, false before true.
     """
     n = len(theory.atoms)
     clauses, falsified_by = _compile(theory)
@@ -184,29 +186,28 @@ def _search(theory: CnfTheory,
         elif values[atom] != value:
             return
 
-    # decisions[i] = (trail length before the decision, decided atom); every
-    # open decision holds false, and its true branch is still to come.
+    # Open decisions as (trail length before it, its position in `order`); each holds false.
     decisions: list[tuple[int, int]] = []
     while True:
-        var = decisions[-1][1] + 1 if decisions else 0
-        while var < n and values[var] is not None:
-            var += 1
-        if var == n:
+        pos = decisions[-1][1] + 1 if decisions else 0
+        while pos < n and values[order[pos]] is not None:
+            pos += 1
+        if pos == n:
             yield frozenset(atom for atom in range(n) if values[atom])
         else:
-            decisions.append((len(trail), var))
-            if _assign(var, False, clauses, falsified_by, values, trail):
+            decisions.append((len(trail), pos))
+            if _assign(order[pos], False, clauses, falsified_by, values, trail):
                 continue
         # Chronological backtracking: flip the newest open decision to
         # true, as an implied literal of the level below it.
         while True:
             if not decisions:
                 return
-            mark, var = decisions.pop()
+            mark, pos = decisions.pop()
             for atom in trail[mark:]:
                 values[atom] = None
             del trail[mark:]
-            if _assign(var, True, clauses, falsified_by, values, trail):
+            if _assign(order[pos], True, clauses, falsified_by, values, trail):
                 break
 
 
@@ -217,15 +218,23 @@ def dpll_solve(theory: CnfTheory,
     Deterministic: propagate to closure, then branch on the lowest
     unassigned atom id with false first.
     """
-    model = next(_search(theory, assumptions), None)
+    model = next(_search(theory, range(len(theory.atoms)), assumptions), None)
     if model is None:
         return None
     return {atom: atom in model for atom in range(len(theory.atoms))}
 
 
-def enumerate_models(theory: CnfTheory) -> list[frozenset[int]]:
-    """All models, from one continuing search, in ascending bitmask order."""
-    return sorted(_search(theory), key=interpretation_key)
+def enumerate_models(theory: CnfTheory,
+                     order: Sequence[int] | None = None) -> list[frozenset[int]]:
+    """All models, from one continuing search that branches in `order`.
+
+    The default order, from the highest atom id down, meets the models in
+    ascending bitmask order.
+    """
+    n = len(theory.atoms)
+    if order is not None and sorted(order) != list(range(n)):
+        raise ValueError("branching order is not a permutation of the atom ids")
+    return list(_search(theory, range(n - 1, -1, -1) if order is None else order))
 
 
 def export_dimacs(theory: CnfTheory) -> str:

@@ -117,8 +117,7 @@ def compute_levels(program: Program, members: frozenset[int]) -> dict | None:
     exists exactly when `members` is stable.  The result is audited with
     `check_levels` before being returned.
     """
-    if not satisfies_program(members, program):
-        return None
+    # Γ(M) = M makes M a model: each clause whose body M satisfies is in the reduct.
     levels = derivation_levels(program, members)
     if frozenset(levels) != members:
         return None

@@ -34,7 +34,7 @@ from guardres import (
     parse_program,
     program_to_cnf,
 )
-from guardres.core import ResourceLimitError, interpretation_key
+from guardres.core import ResourceLimitError
 from guardres.guarded import (
     ProofTree,
     SupportTable,
@@ -58,6 +58,14 @@ def prog(text: str) -> Program:
     return parse_program(text)
 
 
+def interpretation_key(members: frozenset[int]) -> int:
+    """Bitmask with bit i set iff atom id i is a member; the canonical order."""
+    key = 0
+    for atom_id in members:
+        key |= 1 << atom_id
+    return key
+
+
 def names_of(program: Program, members) -> frozenset:
     return frozenset(program.atoms.name(a) for a in members)
 
@@ -77,6 +85,18 @@ def reversed_chain_text(levels: int, guard_every: int | None = None) -> str:
         guard = f", not z{i}" if guard_every and i % guard_every == 0 else ""
         lines.append(f"a{i} :- a{i - 1}{guard}.")
     return "\n".join(lines + ["a0."]) + "\n"
+
+
+def ladder_text(rungs: int, rung_first: bool) -> str:
+    """`a0 :- not x0.`, then per rung i `a_i :- a_{i-1}, not x_i.`,
+    `a_i :- c_i.` and `c_i :- not y_i.`; `rung_first` swaps the first two."""
+    lines = ["a0 :- not x0."]
+    for i in range(1, rungs + 1):
+        step = [f"a{i} :- a{i - 1}, not x{i}.", f"a{i} :- c{i}."]
+        if rung_first:
+            step.reverse()
+        lines += step + [f"c{i} :- not y{i}."]
+    return "\n".join(lines) + "\n"
 
 
 def reference_tokenize(text: str) -> list:

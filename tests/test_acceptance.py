@@ -41,7 +41,6 @@ from guardres import (
     verify_proof,
 )
 from guardres.cli import run as cli_run
-from guardres.core import interpretation_key
 from guardres.sat import clause_satisfied, equation_to_cnf
 from guardres.solver import STATE_BOUND_FACTOR
 
@@ -49,6 +48,7 @@ from corpus import (
     EXAMPLE_TEXT,
     check_guarded_layer,
     example_program,
+    interpretation_key,
     members_of,
     random_cnf,
     random_program,

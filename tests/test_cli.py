@@ -14,6 +14,7 @@ from guardres import ProofError, SupportTable, format_interpretation, parse_prog
 
 from corpus import (
     EXAMPLE_TEXT,
+    ladder_text,
     reference_certificate,
     reference_format_proof,
     reference_saturate_supports,
@@ -307,19 +308,9 @@ def _reference_supports_text(text, atom_name):
     return "".join(out)
 
 
-def _ladder_text(rungs, rung_first):
-    lines = ["a0 :- not x0."]
-    for i in range(1, rungs + 1):
-        step = [f"a{i} :- a{i - 1}, not x{i}.", f"a{i} :- c{i}."]
-        if rung_first:
-            step.reverse()
-        lines += step + [f"c{i} :- not y{i}."]
-    return "\n".join(lines) + "\n"
-
-
 @pytest.mark.parametrize("text, top", [
-    (_ladder_text(12, rung_first=False), "a12"),
-    (_ladder_text(12, rung_first=True), "a12"),
+    (ladder_text(12, rung_first=False), "a12"),
+    (ladder_text(12, rung_first=True), "a12"),
     (reversed_chain_text(60, guard_every=7), "a60"),
 ], ids=["ladder-chain-first", "ladder-rung-first", "reversed-chain"])
 def test_supports_proofs_golden(tmp_path, capsys, text, top):

@@ -2,6 +2,7 @@ import random
 from itertools import combinations, product
 
 import pytest
+from hypothesis import given, settings
 
 from guardres import (
     AtomTable,
@@ -18,9 +19,16 @@ from guardres import (
     saturate_supports,
     solve_stable,
 )
-from guardres.core import interpretation_key
 
-from corpus import all_supports, example_program, members_of, prog, random_program
+from corpus import (
+    all_supports,
+    example_program,
+    interpretation_key,
+    members_of,
+    prog,
+    random_program,
+    small_programs,
+)
 
 
 def _equation_map(program, equations):
@@ -80,6 +88,13 @@ def test_models_of_completion_worked_example():
 def test_models_of_completion_single_fact():
     program = prog("t.")
     assert models_of_completion(program, build_completion(program)) == [frozenset([0])]
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_programs())
+def test_models_of_completion_is_brute_force_in_order(program):
+    # Equal as lists: the ordered search yields the projections in bitmask order.
+    assert models_of_completion(program, build_completion(program)) == brute_force_stable(program)
 
 
 def _choice_pairs_text(pairs: int) -> str:

@@ -12,9 +12,8 @@ from guardres import (
     interpretation,
     satisfies_clause,
 )
-from guardres.core import interpretation_key
 
-from corpus import direct_clause_value, small_programs
+from corpus import direct_clause_value, interpretation_key, small_programs
 
 
 def test_intern_first_insertion():

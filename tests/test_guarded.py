@@ -6,6 +6,7 @@ import random
 import re
 import tracemalloc
 from itertools import islice
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -35,6 +36,7 @@ from guardres.core import EMPTY
 from corpus import (
     check_guarded_layer,
     example_program,
+    ladder_text,
     members_of,
     minimal_family,
     names_of,
@@ -229,6 +231,33 @@ def test_saturate_reversed_chain_is_linear():
     assert table.supports(top) == (frozenset(),)
     with pytest.raises(ResourceLimitError):
         reference_saturate_supports(program, max_derivations=2 * levels)
+
+
+def derivations_golden_lines() -> list:
+    """`label derivations` per program: 2,000 `random_program` draws
+    (seed 5), then reversed chains with and without guards, then ladders
+    listed both ways.
+
+    Rewrite the golden after a deliberate change to the count with
+    `cd tests && PYTHONPATH=../src python -c "import test_guarded as t;
+    print(''.join(t.derivations_golden_lines()), end='')" > golden/derivations.txt`.
+    """
+    rng = random.Random(5)
+    programs = [(f"random-{i}", random_program(rng)) for i in range(2000)]
+    for levels in (1, 2, 7, 60, 400):
+        programs.append((f"chain-{levels}", prog(reversed_chain_text(levels))))
+        programs.append((f"chain-{levels}-guard-7", prog(reversed_chain_text(levels, 7))))
+    for rungs in (1, 3, 12, 40):
+        programs.append((f"ladder-{rungs}", prog(ladder_text(rungs, rung_first=False))))
+        programs.append((f"ladder-{rungs}-rung-first", prog(ladder_text(rungs, rung_first=True))))
+    return [f"{label} {saturate_supports(program).derivations}\n" for label, program in programs]
+
+
+def test_saturate_derivations_golden():
+    # Counts pin work that changes no output, such as combining a guard
+    # that was evicted before its turn.
+    golden = Path(__file__).parent / "golden" / "derivations.txt"
+    assert derivations_golden_lines() == golden.read_text().splitlines(keepends=True)
 
 
 def test_saturate_skips_evicted_guards():

@@ -16,7 +16,13 @@ from guardres import (
 )
 from guardres.sat import _assign, _compile, clause_satisfied, equation_to_cnf, make_clause
 
-from corpus import example_program, minimal_family, random_cnf, truth_table_models
+from corpus import (
+    example_program,
+    minimal_family,
+    random_cnf,
+    reference_enumerate_models,
+    truth_table_models,
+)
 
 
 def _clause_name_sets(theory):
@@ -256,6 +262,33 @@ def test_search_matches_truth_tables(case):
             assert assignment is None
 
 
+@st.composite
+def _random_cnfs(draw):
+    """1 to 10 atoms, n to n + 6 distinct clauses of 1 to 3 literals: few
+    enough models for the blocking-clause reference, which is cubic in them."""
+    n = draw(st.integers(1, 10))
+    literal = st.tuples(st.integers(0, n - 1), st.booleans())
+    clause = st.lists(literal, min_size=1, max_size=3, unique_by=lambda lit: lit[0])
+    clause_lists = draw(st.lists(clause, min_size=n, max_size=n + 6, unique_by=frozenset))
+    return CnfTheory.from_literals(AtomTable(f"x{i}" for i in range(n)), clause_lists)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_random_cnfs())
+def test_enumerate_models_matches_reference(theory):
+    # Branching from the highest id down meets the models in bitmask order, unsorted.
+    assert enumerate_models(theory) == reference_enumerate_models(theory)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_cnf_theories().flatmap(
+    lambda theory: st.tuples(st.just(theory), st.permutations(range(len(theory.atoms))))))
+def test_enumerate_models_follows_branching_order(case):
+    theory, order = case
+    expected = sorted(truth_table_models(theory), key=lambda m: [a in m for a in order])
+    assert enumerate_models(theory, order) == expected
+
+
 def test_search_is_not_recursive():
     # x_i -> x_{i+1} and x_i -> -x_{i+1}: every x_i but the last is false,
     # which the false-first search finds only after 3,000 decisions.
@@ -279,6 +312,10 @@ def test_search_rejects_atoms_outside_theory():
             enumerate_models(theory)
         with pytest.raises(ValueError):
             dpll_solve(theory)
+    theory = CnfTheory(AtomTable(["a", "b"]), [])
+    for order in ([0], [1, 1], [0, 2], [1, 0, 2]):
+        with pytest.raises(ValueError):
+            enumerate_models(theory, order)
 
 
 def test_export_dimacs_offset_rule():
