@@ -13,7 +13,11 @@ walk of the candidates in product order; it skips a candidate whose
 chosen guard meets an atom another choice forces true, because such a
 candidate only repeats models of an earlier one.  Time is exponential
 in the worst case; per-candidate state stays linear in the program plus
-the certificate being carried (see SolveStats).
+the certificate being carried (see SolveStats).  Each `solve_stable`
+call keeps one clause table, keyed by a narrowed equation's atom and
+support, so each option is encoded once per solve and every candidate
+shares those clause lists; like the program CNF, the table is shared
+state outside the per-candidate counter, and it dies with the call.
 """
 
 from __future__ import annotations
@@ -62,7 +66,8 @@ class SolveStats(Record):
     unit per subequation, per guard atom, and per proof-tree node), plus
     one unit per atom for the DPLL assignment.  The solver keeps this
     below STATE_BOUND_FACTOR * (program_size + max_certificate_size);
-    the shared program CNF and the emitted-model set are deliberately
+    the shared program CNF, the solve's clause table (each option's
+    clauses, built once) and the emitted-model set are deliberately
     outside the counter.  `candidates_checked` counts the candidates
     left after pruning, that is, those whose models were enumerated.
     """
@@ -121,23 +126,44 @@ def candidate_theory(program: Program, index: int) -> tuple[Equation, ...]:
     return tuple(reversed(combo))
 
 
-def candidate_cnf(base: CnfTheory, candidate: tuple[Equation, ...]) -> CnfTheory:
-    """The program CNF `base`, then the clauses of each narrowed equation."""
+def _equation_clauses(equation: Equation, n: int, encoded: dict) -> list:
+    """The clauses of one narrowed equation, from the table `encoded`; built on first use."""
+    key = equation.atom, equation.supports
+    clauses = encoded.get(key)
+    if clauses is None:
+        clauses = encoded[key] = equation_to_cnf(equation.atom, equation.supports, n)
+    return clauses
+
+
+def candidate_cnf(base: CnfTheory, candidate: tuple[Equation, ...], *,
+                  encoded: dict | None = None) -> CnfTheory:
+    """The program CNF `base`, then the clauses of each narrowed equation.
+
+    `encoded` is one solve's clause table, `(atom, supports) -> clauses`:
+    an equation found there is not encoded again, and one not found is
+    added to it.
+    """
     # An equation with two or more supports drops out, so the ids then differ.
     narrowed = [equation.atom for equation in candidate if len(equation.supports) < 2]
     n = len(base.atoms)
     if narrowed != list(range(n)):
         raise ValueError("candidate needs exactly one narrowed equation per atom, in order")
+    if encoded is None:
+        encoded = {}
     clauses = list(base.clauses)
     for equation in candidate:
-        clauses.extend(equation_to_cnf(equation.atom, equation.supports, n))
+        clauses.extend(_equation_clauses(equation, n, encoded))
     return CnfTheory(base.atoms, clauses)
 
 
 def check_candidate(program: Program, base: CnfTheory,
-                    candidate: tuple[Equation, ...]) -> list[frozenset[int]]:
-    """Models of one candidate over the program CNF `base`; each re-checked stable."""
-    models = enumerate_models(candidate_cnf(base, candidate))
+                    candidate: tuple[Equation, ...], *,
+                    encoded: dict | None = None) -> list[frozenset[int]]:
+    """Models of one candidate over the program CNF `base`; each re-checked stable.
+
+    `encoded` is passed on to `candidate_cnf`.
+    """
+    models = enumerate_models(candidate_cnf(base, candidate, encoded=encoded))
     for members in models:
         if not is_stable(program, members):
             raise RuntimeError(
@@ -159,7 +185,7 @@ def _prunable(candidate: tuple[Equation, ...]) -> bool:
 
 
 def _account(stats: SolveStats | None, program: Program,
-             candidate: tuple[Equation, ...]) -> None:
+             candidate: tuple[Equation, ...], encoded: dict) -> None:
     if stats is None:
         return
     stats.candidates_checked += 1
@@ -167,7 +193,7 @@ def _account(stats: SolveStats | None, program: Program,
     subeq_literals = 0
     certificate = 0  # one unit per equation, guard atom, and proof-tree node
     for eq in candidate:
-        subeq_literals += sum(map(len, equation_to_cnf(eq.atom, eq.supports, n)))
+        subeq_literals += sum(map(len, _equation_clauses(eq, n, encoded)))
         certificate += 1 + sum(map(len, eq.supports)) + sum(proof.size() for proof in eq.proofs)
     state = subeq_literals + certificate + n
     stats.peak_candidate_state = max(stats.peak_candidate_state, state)
@@ -190,13 +216,14 @@ def solve_stable(program: Program, limit: int | None = None, *,
     if limit is not None and limit <= 0:
         return []
     base = program_to_cnf(program)
+    encoded: dict = {}  # this solve's clause table; see `candidate_cnf`
     results = []
     emitted: set[frozenset[int]] = set()
     for candidate in candidate_theories(program):
         if _prunable(candidate):
             continue
-        _account(stats, program, candidate)
-        for model in check_candidate(program, base, candidate):
+        _account(stats, program, candidate, encoded)
+        for model in check_candidate(program, base, candidate, encoded=encoded):
             if model not in emitted:
                 emitted.add(model)
                 results.append((model, candidate))

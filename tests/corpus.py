@@ -46,6 +46,11 @@ from guardres.sat import make_clause
 
 EXAMPLE_TEXT = "p :- t, not q.\np :- not r.\nq :- not s.\nt.\n"
 
+# Four choice pairs and three clauses for c: 20 options (2 per pair atom,
+# 4 for c), 1,024 candidates, none prunable, and 16 stable models.
+FOUR_PAIRS_TEXT = "".join(f"a{i} :- not b{i}.\nb{i} :- not a{i}.\n" for i in range(4)) + (
+    "c :- a0, not b1.\nc :- a2.\nc :- not b3.\n")
+
 _NAMES = "abcdefghijkl"
 
 

@@ -14,6 +14,7 @@ from guardres import ProofError, SupportTable, format_interpretation, parse_prog
 
 from corpus import (
     EXAMPLE_TEXT,
+    FOUR_PAIRS_TEXT,
     ladder_text,
     reference_certificate,
     reference_format_proof,
@@ -149,7 +150,8 @@ p4 :- p3, q3.
     (CHAIN_TEXT, "chain_certs.txt"),
     (LADDER_TEXT, "ladder_certs.txt"),
     (DOUBLING_TEXT, "doubling_certs.txt"),
-], ids=["example", "two-models", "chain", "ladder", "doubling"])
+    (FOUR_PAIRS_TEXT, "four_pairs_certs.txt"),
+], ids=["example", "two-models", "chain", "ladder", "doubling", "four-pairs"])
 def test_solve_certs_golden(tmp_path, capsys, text, golden):
     path = tmp_path / "program.lp"
     path.write_text(text)
