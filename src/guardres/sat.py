@@ -5,7 +5,11 @@ frozenset of its literals.  The solver is deliberately minimal — unit
 propagation over per-literal occurrence lists plus chronological
 backtracking on an explicit trail, with a static branching order, each
 atom false first — so model orders are reproducible and golden tests
-stay byte-stable.  `dpll_solve` branches from the lowest atom id up.
+stay byte-stable.  Each search compiles its theory in one pass over the
+clauses (literal tuples, occurrence lists, unit literals and whether
+some clause is empty); an empty clause means "no model" only once every
+literal and every assumption is known to lie inside the theory.
+`dpll_solve` branches from the lowest atom id up.
 Enumeration is the same search continued past each model, with no
 blocking clauses, no restarts and no sort: branching from the highest id
 down, it meets the models in ascending bitmask order.  A defining
@@ -110,19 +114,31 @@ def equation_to_cnf(atom: int, supports: tuple,
     return clauses
 
 
-def _compile(theory: CnfTheory) -> tuple[list[tuple], list[tuple[list[int], list[int]]]]:
-    """Literal tuples, plus `falsified_by[atom][value]`: the indices of the
-    clauses holding the literal that `atom = value` makes false, i.e. the
-    only clauses that assignment can turn unit or falsified."""
+def _compile(theory: CnfTheory) -> tuple[list[tuple], list[tuple[list[int], list[int]]],
+                                          list[Literal], bool]:
+    """One pass over the clauses: their literal tuples; `falsified_by[atom][value]`,
+    the indices of the clauses holding the literal that `atom = value` makes
+    false, i.e. the only clauses that assignment can turn unit or falsified;
+    the literals of the unit clauses, in clause order; and whether some
+    clause is empty.  A literal outside the theory raises, even after an
+    empty clause."""
     n = len(theory.atoms)
-    clauses = [tuple(clause) for clause in theory.clauses]
+    clauses = []
     falsified_by: list[tuple[list[int], list[int]]] = [([], []) for _ in range(n)]
-    for index, literals in enumerate(clauses):
+    units = []
+    empty = False
+    for index, clause in enumerate(theory.clauses):
+        literals = tuple(clause)
+        clauses.append(literals)
+        if len(literals) == 1:
+            units.append(literals[0])
+        elif not literals:
+            empty = True
         for atom, polarity in literals:
             if not 0 <= atom < n:
                 raise ValueError(f"literal on atom id {atom} outside the theory")
             falsified_by[atom][not polarity].append(index)
-    return clauses, falsified_by
+    return clauses, falsified_by, units, empty
 
 
 def _assign(atom: int, value: bool, clauses: list[tuple],
@@ -168,7 +184,7 @@ def _search(theory: CnfTheory, order: Sequence[int],
     arrive in lexicographic order over `order`, false before true.
     """
     n = len(theory.atoms)
-    clauses, falsified_by = _compile(theory)
+    clauses, falsified_by, units, empty = _compile(theory)
     values: list[bool | None] = [None] * n
     trail: list[int] = []
 
@@ -176,9 +192,9 @@ def _search(theory: CnfTheory, order: Sequence[int],
     for atom, _ in roots:
         if not 0 <= atom < n:
             raise ValueError(f"assumption on atom id {atom} outside the theory")
-    if any(not literals for literals in clauses):
+    if empty:
         return
-    roots += [literals[0] for literals in clauses if len(literals) == 1]
+    roots += units
     for atom, value in roots:
         if values[atom] is None:
             if not _assign(atom, value, clauses, falsified_by, values, trail):

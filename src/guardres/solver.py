@@ -8,16 +8,19 @@ certificate of the models it yields; `candidate_cnf` adds the program
 clauses to make it a theory of the class C_P.  Every propositional
 model of a candidate theory is a stable model, and every stable model
 satisfies some candidate, so iterating candidates and enumerating their
-models is a sound and complete solver.  The search is one sequential
-walk of the candidates in product order; it skips a candidate whose
-chosen guard meets an atom another choice forces true, because such a
-candidate only repeats models of an earlier one.  Time is exponential
-in the worst case; per-candidate state stays linear in the program plus
-the certificate being carried (see SolveStats).  Each `solve_stable`
-call keeps one clause table, keyed by a narrowed equation's atom and
-support, so each option is encoded once per solve and every candidate
-shares those clause lists; like the program CNF, the table is shared
-state outside the per-candidate counter, and it dies with the call.
+models is a sound and complete solver.  The search is one depth-first
+walk of the product over atom ids, on an explicit stack, that meets the
+candidates in product order.  It cuts a prefix as soon as a placed guard
+meets an atom placed as `p.`: under that prefix `q <-> -S` with `p` in
+S makes `q` false, so choosing `-q` instead gives an earlier candidate
+with a superset of the models, and a cut prefix never holds the first
+occurrence of a model.  Time is exponential in the worst case;
+per-candidate state stays linear in the program plus the certificate
+being carried (see SolveStats).  Each `solve_stable` call keeps one
+clause table, keyed by a narrowed equation's atom and support, so each
+option is encoded once per solve and every candidate shares those
+clause lists; like the program CNF, the table is shared state outside
+the per-candidate counter, and it dies with the call.
 """
 
 from __future__ import annotations
@@ -172,29 +175,74 @@ def check_candidate(program: Program, base: CnfTheory,
     return models
 
 
-def _prunable(candidate: tuple[Equation, ...]) -> bool:
-    """Chosen guard mentions an atom another choice forces true.
+def _walk(choices: list[list[Equation]]) -> Iterator[tuple[Equation, ...]]:
+    """The candidates of `product(*choices)` in its order, minus every cut prefix.
 
-    Such a choice `q <-> -S` makes `q` false in every model.  Choosing
-    `-q` instead gives an earlier candidate in product order with a
-    superset of the models, so a pruned candidate never holds the first
-    occurrence of a model.
+    Depth-first over the atoms with more than one option, on an explicit
+    stack; an atom with only `-p` keeps it and never cuts.  A prefix is
+    cut when a placed guard meets an atom placed as `p.`, checked when
+    the later of the two is placed.
     """
-    forced_true = {eq.atom for eq in candidate if eq.supports and not eq.supports[0]}
-    return any(eq.supports and (eq.supports[0] & forced_true) for eq in candidate)
+    combo = [options[0] for options in choices]
+    branching = [atom for atom, options in enumerate(choices) if len(options) > 1]
+    depth_count = len(branching)
+    tried = [0] * depth_count  # options tried so far at each depth
+    hits = [0] * len(choices)  # placed guards holding each atom
+    facts: set[int] = set()    # atoms placed as `p.`
+    depth = 0
+    while depth >= 0:
+        if depth == depth_count:
+            yield tuple(combo)
+            depth -= 1
+            continue
+        atom = branching[depth]
+        options = choices[atom]
+        placed = combo[atom]
+        if placed.supports:  # undo the option this depth placed last
+            if placed.supports[0]:
+                for r in placed.supports[0]:
+                    hits[r] -= 1
+            else:
+                facts.discard(atom)
+            combo[atom] = options[0]
+        index = tried[depth]
+        if index == len(options):
+            tried[depth] = 0
+            depth -= 1
+            continue
+        tried[depth] = index + 1
+        equation = options[index]
+        if equation.supports:
+            guard = equation.supports[0]
+            if guard:
+                if not facts.isdisjoint(guard):
+                    continue
+                for r in guard:
+                    hits[r] += 1
+            elif hits[atom]:
+                continue
+            else:
+                facts.add(atom)
+            combo[atom] = equation
+        depth += 1
 
 
-def _account(stats: SolveStats | None, program: Program,
-             candidate: tuple[Equation, ...], encoded: dict) -> None:
-    if stats is None:
-        return
+def _account(stats: SolveStats, n: int, candidate: tuple[Equation, ...],
+             encoded: dict, costs: dict) -> None:
+    """Count one checked candidate; `costs` holds each option's
+    `(clause literals, certificate units)`, computed on first use."""
     stats.candidates_checked += 1
-    n = len(program.atoms)
     subeq_literals = 0
     certificate = 0  # one unit per equation, guard atom, and proof-tree node
     for eq in candidate:
-        subeq_literals += sum(map(len, _equation_clauses(eq, n, encoded)))
-        certificate += 1 + sum(map(len, eq.supports)) + sum(proof.size() for proof in eq.proofs)
+        key = eq.atom, eq.supports
+        cost = costs.get(key)
+        if cost is None:
+            literals = sum(map(len, _equation_clauses(eq, n, encoded)))
+            units = 1 + sum(map(len, eq.supports)) + sum(proof.size() for proof in eq.proofs)
+            cost = costs[key] = literals, units
+        subeq_literals += cost[0]
+        certificate += cost[1]
     state = subeq_literals + certificate + n
     stats.peak_candidate_state = max(stats.peak_candidate_state, state)
     stats.max_certificate_size = max(stats.max_certificate_size, certificate)
@@ -207,22 +255,23 @@ def solve_stable(program: Program, limit: int | None = None, *,
     Returns `(model, candidate)` pairs; the candidate is the tuple of the
     chosen equation per atom, with the verifying proof tree of every
     positive choice.  Each model is paired with the first candidate that
-    has it.  Candidates are walked once, in product order; prunable ones are
-    skipped because they only repeat models already emitted.  `limit`
-    stops after that many distinct models.
+    has it.  Candidates are walked once, in product order, and a prefix
+    is cut when its candidates only repeat models already emitted (see
+    the module docstring).  `limit` stops after that many distinct models.
     """
     if stats is not None:
         stats.program_size = program.size()
     if limit is not None and limit <= 0:
         return []
+    n = len(program.atoms)
     base = program_to_cnf(program)
     encoded: dict = {}  # this solve's clause table; see `candidate_cnf`
+    costs: dict = {}    # each option's `stats` counts; see `_account`
     results = []
     emitted: set[frozenset[int]] = set()
-    for candidate in candidate_theories(program):
-        if _prunable(candidate):
-            continue
-        _account(stats, program, candidate, encoded)
+    for candidate in _walk(_choices(program)):
+        if stats is not None:
+            _account(stats, n, candidate, encoded, costs)
         for model in check_candidate(program, base, candidate, encoded=encoded):
             if model not in emitted:
                 emitted.add(model)

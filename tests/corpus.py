@@ -11,17 +11,20 @@ SAT layer's exact assignments and model lists, the naive saturation
 loop and recursive lazy enumeration as references for the guarded
 layer's exact support tables and `(guard, proof)` streams, and the
 unpruned candidate walk as the reference for the solver's model order
-and certificates.  A model's certificate is also rebuilt from it atom
-by atom, from the guarded layer's references alone.
+and certificates, with the leaf-at-a-time pruning rule as the reference
+for the candidates its walk leaves.  A model's certificate is also
+rebuilt from it atom by atom, from the guarded layer's references alone.
 """
 
 from __future__ import annotations
 
 import random
 from itertools import islice, product
+from unittest import mock
 
 from hypothesis import strategies as st
 
+import guardres.solver as solver
 from guardres import (
     AtomTable,
     Clause,
@@ -33,6 +36,7 @@ from guardres import (
     gl_operator,
     parse_program,
     program_to_cnf,
+    solve_stable,
 )
 from guardres.core import ResourceLimitError
 from guardres.guarded import (
@@ -591,3 +595,29 @@ def reference_solve_stable(program: Program, limit: int | None = None) -> list:
             if limit is not None and len(results) >= limit:
                 return results
     return results
+
+
+def reference_prunable(candidate: tuple) -> bool:
+    """A chosen guard mentions an atom another choice forces true.
+
+    Such a choice `q <-> -S` makes `q` false in every model.  Choosing
+    `-q` instead gives an earlier candidate in product order with a
+    superset of the models, so a prunable candidate never holds the first
+    occurrence of a model.  The solver cuts these by prefix; this is the
+    rule read one whole candidate at a time.
+    """
+    forced_true = {eq.atom for eq in candidate if eq.supports and not eq.supports[0]}
+    return any(eq.supports and (eq.supports[0] & forced_true) for eq in candidate)
+
+
+def checked_candidates(program: Program) -> list:
+    """The candidates `solve_stable` hands to `check_candidate`, in order."""
+    seen = []
+
+    def recording(program, base, candidate, **options):
+        seen.append(candidate)
+        return check_candidate(program, base, candidate, **options)
+
+    with mock.patch.object(solver, "check_candidate", recording):
+        solve_stable(program)
+    return seen

@@ -47,6 +47,7 @@ from guardres.solver import STATE_BOUND_FACTOR
 from corpus import (
     EXAMPLE_TEXT,
     check_guarded_layer,
+    checked_candidates,
     example_program,
     interpretation_key,
     members_of,
@@ -58,6 +59,7 @@ from corpus import (
     reference_enumerate_models,
     reference_equation_to_cnf,
     reference_model_certificate,
+    reference_prunable,
     reference_solve_stable,
     truth_table_models,
 )
@@ -188,6 +190,17 @@ def test_criterion_04_certificates_match_unpruned_reference(corpus):
                         for model, candidate in reference_solve_stable(program, limit)]
             assert [format_certificate(program, model, candidate)
                     for model, candidate in solve_stable(program, limit)] == expected
+
+
+def test_criterion_04_walk_checks_the_product_minus_prunable_candidates(corpus):
+    """The prefix cuts leave exactly the candidates the leaf rule keeps, in order."""
+    cut = 0
+    for program in corpus:
+        candidates = list(candidate_theories(program))
+        kept = [c for c in candidates if not reference_prunable(c)]
+        assert checked_candidates(program) == kept
+        cut += len(candidates) - len(kept)
+    assert cut > 0
 
 
 def test_criterion_04_certificate_is_a_function_of_its_model(corpus):

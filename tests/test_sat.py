@@ -109,7 +109,9 @@ def test_equation_to_cnf_chain_matches_equation(equation):
     projected = {model & frozenset(range(n)) for model in full}
     assert len(projected) == len(full)
     assert projected == {m for m in all_interpretations(n) if equation.holds_in(m)}
-    compiled, falsified_by = _compile(theory)
+    compiled, falsified_by, units, empty = _compile(theory)
+    assert units == [literals[0] for literals in compiled if len(literals) == 1]
+    assert not empty
     for model in full:
         values = [None] * len(theory.atoms)
         trail = []
@@ -183,7 +185,8 @@ def test_unit_propagation_closure():
     theory = CnfTheory.from_literals(
         table, [[(0, True)], [(0, False), (1, True)], [(1, False), (2, True)],
                 [(2, False), (3, True), (4, True)]])
-    clauses, falsified_by = _compile(theory)
+    clauses, falsified_by, units, empty = _compile(theory)
+    assert units == [(0, True)] and not empty
     values = [None] * len(table)
     trail = []
     assert _assign(0, True, clauses, falsified_by, values, trail)
@@ -198,8 +201,9 @@ def test_unit_propagation_closure():
     assert _assign(3, False, clauses, falsified_by, values, trail)
     assert values == [True, True, True, False, True]
     # b and -b both following from a is a conflict.
-    clauses, falsified_by = _compile(CnfTheory.from_literals(
+    clauses, falsified_by, units, empty = _compile(CnfTheory.from_literals(
         AtomTable(["a", "b"]), [[(0, False), (1, True)], [(0, False), (1, False)]]))
+    assert units == [] and not empty
     assert not _assign(0, True, clauses, falsified_by, [None, None], [])
 
 
@@ -316,6 +320,21 @@ def test_search_rejects_atoms_outside_theory():
     for order in ([0], [1, 1], [0, 2], [1, 0, 2]):
         with pytest.raises(ValueError):
             enumerate_models(theory, order)
+
+
+def test_out_of_range_errors_come_before_the_empty_clause():
+    # An empty clause means "no model" only once every literal and every
+    # assumption is known to lie inside the theory.
+    with_bad_literal = CnfTheory(AtomTable(["a"]), [frozenset(), frozenset({(3, True)})])
+    with pytest.raises(ValueError, match="literal on atom id 3"):
+        enumerate_models(with_bad_literal)
+    with pytest.raises(ValueError, match="literal on atom id 3"):
+        dpll_solve(with_bad_literal)
+    empty = CnfTheory(AtomTable(["a"]), [frozenset()])
+    with pytest.raises(ValueError, match="assumption on atom id 7"):
+        dpll_solve(empty, {7: True})
+    assert dpll_solve(empty) is None
+    assert enumerate_models(empty) == []
 
 
 def test_export_dimacs_offset_rule():

@@ -27,6 +27,8 @@ from guardres import (
 from guardres.solver import STATE_BOUND_FACTOR, support_subequation
 
 from corpus import (
+    FOUR_PAIRS_TEXT,
+    checked_candidates,
     example_program,
     members_of,
     names_of,
@@ -34,6 +36,7 @@ from corpus import (
     random_program,
     reference_choices,
     reference_model_certificate,
+    reference_prunable,
     reference_solve_stable,
     small_programs,
 )
@@ -212,6 +215,25 @@ def test_candidates_that_only_repeat_models_are_skipped():
     stats = SolveStats()
     assert [m for m, _ in solve_stable(program, stats=stats)] == [members_of(program, "a")]
     assert stats.candidates_checked == 3
+
+
+def _unprunable(program) -> list:
+    return [c for c in candidate_theories(program) if not reference_prunable(c)]
+
+
+def test_walk_checks_the_product_minus_prunable_candidates():
+    empty = prog("")
+    assert checked_candidates(empty) == _unprunable(empty) == [()]
+    pairs = prog(FOUR_PAIRS_TEXT)
+    checked = checked_candidates(pairs)
+    assert checked == _unprunable(pairs)
+    assert len(checked) == 1024
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_programs())
+def test_walk_checks_the_product_minus_prunable_candidates_property(program):
+    assert checked_candidates(program) == _unprunable(program)
 
 
 @settings(max_examples=150, deadline=None)

@@ -15,6 +15,7 @@ import pytest
 
 import guardres.solver as solver
 from guardres import (
+    ProofTree,
     SolveStats,
     build_completion,
     candidate_theories,
@@ -55,6 +56,26 @@ def test_each_option_is_encoded_once_per_solve(monkeypatch, text, options, with_
         solve_stable(program, stats=SolveStats() if with_stats else None)
         assert builds and max(builds.values()) == 1
         assert set(builds) <= _options(program)
+
+
+@pytest.mark.parametrize("text, options", [(None, 9), (FOUR_PAIRS_TEXT, 20)],
+                         ids=["example", "four-pairs"])
+def test_each_option_is_sized_once_per_solve(monkeypatch, text, options):
+    program = example_program() if text is None else prog(text)
+    assert len(_options(program)) == options
+    sizes = Counter()
+    size = ProofTree.size
+
+    def counted(proof):
+        sizes[id(proof)] += 1
+        return size(proof)
+
+    monkeypatch.setattr(ProofTree, "size", counted)
+    for _ in range(2):
+        sizes.clear()
+        solve_stable(program, stats=SolveStats())
+        assert sizes and max(sizes.values()) == 1
+        assert sum(sizes.values()) <= options
 
 
 def solve_stats_golden_lines() -> list:
@@ -124,4 +145,15 @@ def test_chain_choice_proof_nodes_are_linear():
     counts = [sum(proof.size() for options in solver._choices(_definite_chain(n))
                   for eq in options for proof in eq.proofs)
               for n in (100, 200)]
+    assert counts[1] <= LINEAR_RATIO * counts[0]
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 2")
+def test_definite_chain_candidates_checked_are_linear():
+    # 64 -> 2,048 at n = 5 -> 10: 2^(n + 1), since no atom's `-p` is cut.
+    counts = []
+    for n in (5, 10):
+        stats = SolveStats()
+        solve_stable(_definite_chain(n), stats=stats)
+        counts.append(stats.candidates_checked)
     assert counts[1] <= LINEAR_RATIO * counts[0]
