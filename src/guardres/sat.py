@@ -5,10 +5,11 @@ frozenset of its literals.  The solver is deliberately minimal — unit
 propagation over per-literal occurrence lists plus chronological
 backtracking on an explicit trail, with a static branching order, each
 atom false first — so model orders are reproducible and golden tests
-stay byte-stable.  Each search compiles its theory in one pass over the
-clauses (literal tuples, occurrence lists, unit literals and whether
-some clause is empty); an empty clause means "no model" only once every
-literal and every assumption is known to lie inside the theory.
+stay byte-stable.  A search takes an atom count and a clause sequence
+and indexes the clauses as given, in one pass that builds occurrence
+lists, collects the unit literals and notes an empty clause; an empty
+clause means "no model" only once every literal and every assumption is
+known to lie inside the theory.
 `dpll_solve` branches from the lowest atom id up.
 Enumeration is the same search continued past each model, with no
 blocking clauses, no restarts and no sort: branching from the highest id
@@ -114,34 +115,31 @@ def equation_to_cnf(atom: int, supports: tuple,
     return clauses
 
 
-def _compile(theory: CnfTheory) -> tuple[list[tuple], list[tuple[list[int], list[int]]],
-                                          list[Literal], bool]:
-    """One pass over the clauses: their literal tuples; `falsified_by[atom][value]`,
-    the indices of the clauses holding the literal that `atom = value` makes
-    false, i.e. the only clauses that assignment can turn unit or falsified;
-    the literals of the unit clauses, in clause order; and whether some
-    clause is empty.  A literal outside the theory raises, even after an
-    empty clause."""
-    n = len(theory.atoms)
-    clauses = []
+def _compile(n: int, clauses: Sequence[frozenset[Literal]]
+             ) -> tuple[list[tuple[list[int], list[int]]], list[Literal], bool]:
+    """One pass over the clauses of an `n`-atom theory, indexed as given:
+    `falsified_by[atom][value]`, the indices of the clauses holding the
+    literal that `atom = value` makes false, i.e. the only clauses that
+    assignment can turn unit or falsified; the literals of the unit
+    clauses, in clause order; and whether some clause is empty.  A
+    literal outside the theory raises, even after an empty clause."""
     falsified_by: list[tuple[list[int], list[int]]] = [([], []) for _ in range(n)]
     units = []
     empty = False
-    for index, clause in enumerate(theory.clauses):
-        literals = tuple(clause)
-        clauses.append(literals)
-        if len(literals) == 1:
-            units.append(literals[0])
-        elif not literals:
+    for index, clause in enumerate(clauses):
+        size = len(clause)
+        if size == 1:
+            units.extend(clause)
+        elif not size:
             empty = True
-        for atom, polarity in literals:
+        for atom, polarity in clause:
             if not 0 <= atom < n:
                 raise ValueError(f"literal on atom id {atom} outside the theory")
             falsified_by[atom][not polarity].append(index)
-    return clauses, falsified_by, units, empty
+    return falsified_by, units, empty
 
 
-def _assign(atom: int, value: bool, clauses: list[tuple],
+def _assign(atom: int, value: bool, clauses: Sequence[frozenset[Literal]],
             falsified_by: list[tuple[list[int], list[int]]],
             values: list[bool | None], trail: list[int]) -> bool:
     """Set `atom`, push it on `trail`, and extend `values` to unit closure.
@@ -173,9 +171,10 @@ def _assign(atom: int, value: bool, clauses: list[tuple],
     return True
 
 
-def _search(theory: CnfTheory, order: Sequence[int],
+def _search(n: int, clauses: Sequence[frozenset[Literal]], order: Sequence[int],
             assumptions: Mapping[int, bool] | None = None) -> Iterator[frozenset[int]]:
-    """Yield every model extending `assumptions`, in depth-first order.
+    """Yield every model of `clauses`, over atom ids `0 .. n - 1`, that
+    extends `assumptions`, in depth-first order.
 
     One search per call: the clauses are compiled once, assignments live
     on an explicit trail, and after each total model the search simply
@@ -183,8 +182,7 @@ def _search(theory: CnfTheory, order: Sequence[int],
     of `order`, a permutation of the atom ids, false first, so the models
     arrive in lexicographic order over `order`, false before true.
     """
-    n = len(theory.atoms)
-    clauses, falsified_by, units, empty = _compile(theory)
+    falsified_by, units, empty = _compile(n, clauses)
     values: list[bool | None] = [None] * n
     trail: list[int] = []
 
@@ -234,10 +232,11 @@ def dpll_solve(theory: CnfTheory,
     Deterministic: propagate to closure, then branch on the lowest
     unassigned atom id with false first.
     """
-    model = next(_search(theory, range(len(theory.atoms)), assumptions), None)
+    n = len(theory.atoms)
+    model = next(_search(n, theory.clauses, range(n), assumptions), None)
     if model is None:
         return None
-    return {atom: atom in model for atom in range(len(theory.atoms))}
+    return {atom: atom in model for atom in range(n)}
 
 
 def enumerate_models(theory: CnfTheory,
@@ -250,7 +249,7 @@ def enumerate_models(theory: CnfTheory,
     n = len(theory.atoms)
     if order is not None and sorted(order) != list(range(n)):
         raise ValueError("branching order is not a permutation of the atom ids")
-    return list(_search(theory, range(n - 1, -1, -1) if order is None else order))
+    return list(_search(n, theory.clauses, range(n - 1, -1, -1) if order is None else order))
 
 
 def export_dimacs(theory: CnfTheory) -> str:

@@ -4,11 +4,14 @@ Per atom the search commits to a narrowed defining equation, a
 `completion.Equation` with at most one support: `-p`, `p.`, or one
 disjunct `p <-> -S` with its verifying proof.  A candidate is the tuple
 of those equations, one per atom in id order, and it is also the
-certificate of the models it yields; `candidate_cnf` adds the program
-clauses to make it a theory of the class C_P.  Every propositional
-model of a candidate theory is a stable model, and every stable model
-satisfies some candidate, so iterating candidates and enumerating their
-models is a sound and complete solver.  The search is one depth-first
+certificate of the models it yields.  One helper makes a candidate's
+clause list, the program clauses and then each narrowed equation's: a
+theory of the class C_P.  `check_candidate` searches that list as
+built, and `candidate_cnf` wraps it, duplicates dropped, as the theory
+`to-dimacs --candidate` prints.  Every propositional model of a
+candidate theory is a stable model, and every stable model satisfies
+some candidate, so iterating candidates and enumerating their models is
+a sound and complete solver.  The search is one depth-first
 walk of the product over atom ids, on an explicit stack, that meets the
 candidates in product order.  It cuts a prefix as soon as a placed guard
 meets an atom placed as `p.`: under that prefix `q <-> -S` with `p` in
@@ -41,7 +44,13 @@ from .guarded import (
     saturate_supports,
     verify_proof,
 )
-from .sat import CnfTheory, enumerate_models, equation_to_cnf, program_to_cnf
+from .sat import (
+    CnfTheory,
+    _search,
+    enumerate_models,  # noqa: F401  perfbench/spans.py traces this name here
+    equation_to_cnf,
+    program_to_cnf,
+)
 from .semantics import is_stable
 
 # Documented bound for the instrumented space check: the per-candidate
@@ -138,14 +147,10 @@ def _equation_clauses(equation: Equation, n: int, encoded: dict) -> list:
     return clauses
 
 
-def candidate_cnf(base: CnfTheory, candidate: tuple[Equation, ...], *,
-                  encoded: dict | None = None) -> CnfTheory:
-    """The program CNF `base`, then the clauses of each narrowed equation.
-
-    `encoded` is one solve's clause table, `(atom, supports) -> clauses`:
-    an equation found there is not encoded again, and one not found is
-    added to it.
-    """
+def _candidate_clauses(base: CnfTheory, candidate: tuple[Equation, ...],
+                       encoded: dict | None) -> list:
+    """The clauses of `base`, then the clauses of each narrowed equation,
+    from `encoded` as in `check_candidate`."""
     # An equation with two or more supports drops out, so the ids then differ.
     narrowed = [equation.atom for equation in candidate if len(equation.supports) < 2]
     n = len(base.atoms)
@@ -156,7 +161,17 @@ def candidate_cnf(base: CnfTheory, candidate: tuple[Equation, ...], *,
     clauses = list(base.clauses)
     for equation in candidate:
         clauses.extend(_equation_clauses(equation, n, encoded))
-    return CnfTheory(base.atoms, clauses)
+    return clauses
+
+
+def candidate_cnf(base: CnfTheory, candidate: tuple[Equation, ...], *,
+                  encoded: dict | None = None) -> CnfTheory:
+    """The candidate theory over the program CNF `base`, duplicate clauses
+    dropped, as `to-dimacs --candidate` prints it.
+
+    `encoded` is as in `check_candidate`.
+    """
+    return CnfTheory(base.atoms, _candidate_clauses(base, candidate, encoded))
 
 
 def check_candidate(program: Program, base: CnfTheory,
@@ -164,9 +179,15 @@ def check_candidate(program: Program, base: CnfTheory,
                     encoded: dict | None = None) -> list[frozenset[int]]:
     """Models of one candidate over the program CNF `base`; each re-checked stable.
 
-    `encoded` is passed on to `candidate_cnf`.
+    The search reads the candidate's clause list as built: a duplicate
+    clause changes no model, so none is dropped.  `encoded` is one
+    solve's clause table, `(atom, supports) -> clauses`: an equation
+    found there is not encoded again, and one not found is added to it.
     """
-    models = enumerate_models(candidate_cnf(base, candidate, encoded=encoded))
+    n = len(base.atoms)
+    clauses = _candidate_clauses(base, candidate, encoded)
+    # Highest id down, as `enumerate_models` branches: ascending bitmask order.
+    models = list(_search(n, clauses, range(n - 1, -1, -1)))
     for members in models:
         if not is_stable(program, members):
             raise RuntimeError(
@@ -265,7 +286,7 @@ def solve_stable(program: Program, limit: int | None = None, *,
         return []
     n = len(program.atoms)
     base = program_to_cnf(program)
-    encoded: dict = {}  # this solve's clause table; see `candidate_cnf`
+    encoded: dict = {}  # this solve's clause table; see `check_candidate`
     costs: dict = {}    # each option's `stats` counts; see `_account`
     results = []
     emitted: set[frozenset[int]] = set()

@@ -182,6 +182,22 @@ def test_criterion_04_candidate_search_sound_and_complete(corpus):
             assert found == set(brute_force_stable(program))
 
 
+def test_criterion_04_search_of_built_clauses_matches_candidate_cnf(corpus):
+    """The search of a candidate's clause list, duplicates kept, meets the
+    models of the deduplicated theory `to-dimacs` prints, in order."""
+    with_duplicates = 0
+    for program in corpus:
+        base = program_to_cnf(program)
+        n = len(program.atoms)
+        for candidate in candidate_theories(program):
+            theory = candidate_cnf(base, candidate)
+            assert check_candidate(program, base, candidate) == enumerate_models(theory)
+            built = len(base.clauses) + sum(
+                len(equation_to_cnf(eq.atom, eq.supports, n)) for eq in candidate)
+            with_duplicates += built > len(theory.clauses)
+    assert with_duplicates > 0
+
+
 def test_criterion_04_certificates_match_unpruned_reference(corpus):
     """Skipping prunable candidates keeps every certificate block and its order."""
     for program in corpus:

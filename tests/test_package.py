@@ -33,11 +33,12 @@ def test_exports_are_the_module_declarations_each_name_once():
 
 
 def test_cli_import_leaves_dataclasses_inspect_and_typing_out():
-    # Isolated and without `site`, so only the package's own imports count.
+    # Isolated and without `site`, so only the package's own imports count;
+    # `-I` ignores PYTHONDONTWRITEBYTECODE, so `-B` keeps `src/` free of bytecode.
     src = str(Path(guardres.__file__).parent.parent)
     script = ("import sys; sys.path.insert(0, sys.argv[1]); import guardres.cli; "
               "print(sorted({'dataclasses', 'inspect', 'typing'} & set(sys.modules)))")
-    done = subprocess.run([sys.executable, "-I", "-S", "-c", script, src],
+    done = subprocess.run([sys.executable, "-I", "-S", "-B", "-c", script, src],
                           capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
     assert done.stdout == "[]\n"

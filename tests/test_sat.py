@@ -109,15 +109,15 @@ def test_equation_to_cnf_chain_matches_equation(equation):
     projected = {model & frozenset(range(n)) for model in full}
     assert len(projected) == len(full)
     assert projected == {m for m in all_interpretations(n) if equation.holds_in(m)}
-    compiled, falsified_by, units, empty = _compile(theory)
-    assert units == [literals[0] for literals in compiled if len(literals) == 1]
+    falsified_by, units, empty = _compile(len(theory.atoms), theory.clauses)
+    assert units == [next(iter(clause)) for clause in theory.clauses if len(clause) == 1]
     assert not empty
     for model in full:
         values = [None] * len(theory.atoms)
         trail = []
         for atom in range(n):
             if values[atom] is None:
-                assert _assign(atom, atom in model, compiled, falsified_by, values, trail)
+                assert _assign(atom, atom in model, theory.clauses, falsified_by, values, trail)
         assert values == [atom in model for atom in range(len(theory.atoms))]
 
 
@@ -185,7 +185,8 @@ def test_unit_propagation_closure():
     theory = CnfTheory.from_literals(
         table, [[(0, True)], [(0, False), (1, True)], [(1, False), (2, True)],
                 [(2, False), (3, True), (4, True)]])
-    clauses, falsified_by, units, empty = _compile(theory)
+    clauses = theory.clauses
+    falsified_by, units, empty = _compile(len(table), clauses)
     assert units == [(0, True)] and not empty
     values = [None] * len(table)
     trail = []
@@ -201,8 +202,9 @@ def test_unit_propagation_closure():
     assert _assign(3, False, clauses, falsified_by, values, trail)
     assert values == [True, True, True, False, True]
     # b and -b both following from a is a conflict.
-    clauses, falsified_by, units, empty = _compile(CnfTheory.from_literals(
-        AtomTable(["a", "b"]), [[(0, False), (1, True)], [(0, False), (1, False)]]))
+    clauses = CnfTheory.from_literals(
+        AtomTable(["a", "b"]), [[(0, False), (1, True)], [(0, False), (1, False)]]).clauses
+    falsified_by, units, empty = _compile(2, clauses)
     assert units == [] and not empty
     assert not _assign(0, True, clauses, falsified_by, [None, None], [])
 

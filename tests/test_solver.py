@@ -2,6 +2,7 @@ import random
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from guardres import (
     AtomTable,
@@ -17,6 +18,7 @@ from guardres import (
     candidate_theories,
     candidate_theory,
     check_candidate,
+    enumerate_models,
     format_certificate,
     models_of_completion,
     program_to_cnf,
@@ -109,6 +111,8 @@ def test_candidate_rejects_multi_support_equation():
     equations[p] = Equation(p, table.supports(p))
     with pytest.raises(ValueError):
         candidate_cnf(program_to_cnf(program), tuple(equations))
+    with pytest.raises(ValueError):
+        check_candidate(program, program_to_cnf(program), tuple(equations))
 
 
 def test_candidates_single_fact():
@@ -260,6 +264,16 @@ def test_solve_matches_unpruned_reference_property(program):
                     for model, candidate in reference_solve_stable(program, limit)]
         assert [format_certificate(program, model, candidate)
                 for model, candidate in solve_stable(program, limit)] == expected
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_check_candidate_matches_candidate_cnf_models_property(seed):
+    program = random_program(random.Random(seed), max_atoms=6, max_clauses=9)
+    base = program_to_cnf(program)
+    for candidate in candidate_theories(program):
+        assert check_candidate(program, base, candidate) == \
+            enumerate_models(candidate_cnf(base, candidate))
 
 
 def test_space_instrumentation_within_documented_bound():

@@ -10,11 +10,13 @@ strict xfail, so the change that makes it linear must remove the marker.
 import random
 from collections import Counter
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
 import guardres.solver as solver
 from guardres import (
+    CnfTheory,
     ProofTree,
     SolveStats,
     build_completion,
@@ -25,7 +27,14 @@ from guardres import (
 )
 from guardres.sat import equation_to_cnf
 
-from corpus import FOUR_PAIRS_TEXT, example_program, prog, random_program, reversed_chain_text
+from corpus import (
+    FOUR_PAIRS_TEXT,
+    example_program,
+    ladder_text,
+    prog,
+    random_program,
+    reversed_chain_text,
+)
 
 # A linear counter at most doubles from n to 2n (an affine one with a
 # positive constant doubles less); n log n reads about x2.3 at n = 100.
@@ -78,6 +87,22 @@ def test_each_option_is_sized_once_per_solve(monkeypatch, text, options):
         assert sum(sizes.values()) <= options
 
 
+@pytest.mark.parametrize("text, checked", [(None, 12), (FOUR_PAIRS_TEXT, 1024)],
+                         ids=["example", "four-pairs"])
+def test_solve_builds_only_the_program_cnf_theory(text, checked):
+    # Each candidate's clause list goes to the search as built; a
+    # `CnfTheory` per candidate read 13 and 1,025 builds here.
+    program = example_program() if text is None else prog(text)
+    with mock.patch.object(CnfTheory, "__init__", autospec=True,
+                           side_effect=CnfTheory.__init__) as init:
+        for _ in range(2):
+            init.reset_mock()
+            stats = SolveStats()
+            solve_stable(program, stats=stats)
+            assert stats.candidates_checked == checked
+            assert init.call_count == 1
+
+
 def solve_stats_golden_lines() -> list:
     """`label candidates_checked models_emitted peak_candidate_state
     max_certificate_size` per program, for the first 1,000
@@ -115,6 +140,18 @@ def test_chain_derivations_are_linear():
     # 101 -> 201 at n = 100 -> 200: one seed, one combination per level.
     counts = [saturate_supports(_definite_chain(n)).derivations for n in (100, 200)]
     assert counts[1] <= LINEAR_RATIO * counts[0]
+
+
+@pytest.mark.parametrize("rung_first", [False, True], ids=["chain-first", "rung-first"])
+def test_ladder_derivations_are_the_stored_supports(rung_first):
+    # 76, 251 and 901 at r = 10, 20 and 40: a_i has i + 1 minimal supports
+    # and c_i one, so only the antichains make the count quadratic, and
+    # saturation derives nothing it does not keep.
+    for r in (10, 20, 40):
+        program = prog(ladder_text(r, rung_first))
+        table = saturate_supports(program)
+        stored = sum(len(table.supports(atom)) for atom in range(len(program.atoms)))
+        assert table.derivations == stored == (r + 1) * (r + 2) // 2 + r
 
 
 def test_program_cnf_literals_are_linear():
