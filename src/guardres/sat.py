@@ -14,8 +14,9 @@ known to lie inside the theory.
 Enumeration is the same search continued past each model, with no
 blocking clauses, no restarts and no sort: branching from the highest id
 down, it meets the models in ascending bitmask order.  A defining
-equation, or a candidate theory's narrowed one, is encoded linearly,
-through a chain of auxiliary atoms (`equation_to_cnf`).
+equation is encoded linearly, through a chain of auxiliary atoms
+(`equation_to_cnf`); a candidate theory's narrowed equation is the same
+chain at length one, which needs no auxiliary atom.
 """
 
 from __future__ import annotations
@@ -80,38 +81,31 @@ def equation_to_cnf(atom: int, supports: tuple,
                     first_aux: int) -> list[frozenset[Literal]]:
     """Clauses for `p <-> (-S1 | -S2 | ... | -Sk)` over a support antichain.
 
-    No support gives `-p`; one support S gives `-p | -r` per r in S, then
-    `p | S` (just `p` for the empty guard).  Otherwise a chain of
-    auxiliary atoms, ids `first_aux .. first_aux + k - 2`, reads `c_j <->
-    c_{j-1} & (S_j is hit)` with `c_0 = p`; `c_{k-1}` with `S_k` hit is
-    false, and `p | S_j` holds for every j.  That is linear in the
-    antichain: k + sum_{j<k} (|S_j| + 2) + |S_k| clauses, none a
-    tautology.  Once the atoms of `p` and of the guards are set, unit
-    propagation fixes every `c_j`, so each model of the equation has
-    exactly one extension to the chain.
+    No support gives `-p`.  Otherwise a chain of auxiliary atoms, ids
+    `first_aux .. first_aux + k - 2`, reads `c_j <-> c_{j-1} & (S_j is
+    hit)` with `c_0 = p`; `c_{k-1}` with `S_k` hit is false, and `p | S_j`
+    holds for every j.  That is linear in the antichain: k + sum_{j<k}
+    (|S_j| + 2) + |S_k| clauses, none a tautology.  A narrowed equation
+    is the chain with k = 1, which has no auxiliary atom: `-p | -r` per r
+    in S, then `p | S`, which is just `p` for the empty guard.  Once the
+    atoms of `p` and of the guards are set, unit propagation fixes every
+    `c_j`, so each model of the equation has exactly one extension to the
+    chain.
     """
     if not supports:
         return [frozenset([(atom, False)])]
-    guard = supports[0]
-    if not guard:
-        # The empty guard is the whole antichain; the chain gives this `p` too, more slowly.
-        return [frozenset([(atom, True)])]
-    if len(supports) == 1:
-        # The chain would be slower and put `p | S` first, changing the DIMACS text.
-        clauses = [frozenset([(atom, False), (r, False)]) for r in sorted(guard)]
-        clauses.append(frozenset([(atom, True)] + [(r, True) for r in guard]))
-        return clauses
-    clauses = [frozenset([(atom, True)] + [(r, True) for r in support])
-               for support in supports]
+    *links, last = supports
+    clauses = []
     previous = atom
-    for aux, support in enumerate(supports[:-1], first_aux):
+    for aux, support in enumerate(links, first_aux):
         clauses.append(frozenset([(aux, False), (previous, True)]))
         clauses.append(frozenset([(aux, False)] + [(r, True) for r in support]))
-        clauses.extend(frozenset([(previous, False), (r, False), (aux, True)])
-                       for r in sorted(support))
+        clauses += [frozenset([(previous, False), (r, False), (aux, True)])
+                    for r in sorted(support)]
         previous = aux
-    clauses.extend(frozenset([(previous, False), (r, False)])
-                   for r in sorted(supports[-1]))
+    clauses += [frozenset([(previous, False), (r, False)]) for r in sorted(last)]
+    for support in supports:
+        clauses.append(frozenset([(atom, True)] + [(r, True) for r in support]))
     return clauses
 
 

@@ -19,11 +19,12 @@ S makes `q` false, so choosing `-q` instead gives an earlier candidate
 with a superset of the models, and a cut prefix never holds the first
 occurrence of a model.  Time is exponential in the worst case;
 per-candidate state stays linear in the program plus the certificate
-being carried (see SolveStats).  Each `solve_stable` call keeps one
-clause table, keyed by a narrowed equation's atom and support, so each
-option is encoded once per solve and every candidate shares those
-clause lists; like the program CNF, the table is shared state outside
-the per-candidate counter, and it dies with the call.
+being carried (see SolveStats).  Each `solve_stable` call builds one
+clause table from the options before its walk, keyed by a narrowed
+equation's atom and support, so each option is encoded once per solve
+and every candidate reads those clause lists; nothing writes to the
+table after that.  Like the program CNF, it is shared state outside the
+per-candidate counter, and it dies with the call.
 """
 
 from __future__ import annotations
@@ -79,9 +80,11 @@ class SolveStats(Record):
     one unit per atom for the DPLL assignment.  The solver keeps this
     below STATE_BOUND_FACTOR * (program_size + max_certificate_size);
     the shared program CNF, the solve's clause table (each option's
-    clauses, built once) and the emitted-model set are deliberately
-    outside the counter.  `candidates_checked` counts the candidates
-    left after pruning, that is, those whose models were enumerated.
+    clauses, built once from the options before the walk and only read
+    after it) and the emitted-model set are deliberately outside the
+    counter.  Each option's counts come from the same pass that builds
+    the table.  `candidates_checked` counts the candidates left after
+    pruning, that is, those whose models were enumerated.
     """
 
     __slots__ = ("program_size", "candidates_checked", "models_emitted",
@@ -138,40 +141,26 @@ def candidate_theory(program: Program, index: int) -> tuple[Equation, ...]:
     return tuple(reversed(combo))
 
 
-def _equation_clauses(equation: Equation, n: int, encoded: dict) -> list:
-    """The clauses of one narrowed equation, from the table `encoded`; built on first use."""
-    key = equation.atom, equation.supports
-    clauses = encoded.get(key)
-    if clauses is None:
-        clauses = encoded[key] = equation_to_cnf(equation.atom, equation.supports, n)
-    return clauses
-
-
 def _candidate_clauses(base: CnfTheory, candidate: tuple[Equation, ...],
                        encoded: dict | None) -> list:
     """The clauses of `base`, then the clauses of each narrowed equation,
-    from `encoded` as in `check_candidate`."""
+    read from `encoded` as in `check_candidate`."""
     # An equation with two or more supports drops out, so the ids then differ.
     narrowed = [equation.atom for equation in candidate if len(equation.supports) < 2]
     n = len(base.atoms)
     if narrowed != list(range(n)):
         raise ValueError("candidate needs exactly one narrowed equation per atom, in order")
-    if encoded is None:
-        encoded = {}
     clauses = list(base.clauses)
     for equation in candidate:
-        clauses.extend(_equation_clauses(equation, n, encoded))
+        key = equation.atom, equation.supports
+        clauses.extend(equation_to_cnf(*key, n) if encoded is None else encoded[key])
     return clauses
 
 
-def candidate_cnf(base: CnfTheory, candidate: tuple[Equation, ...], *,
-                  encoded: dict | None = None) -> CnfTheory:
+def candidate_cnf(base: CnfTheory, candidate: tuple[Equation, ...]) -> CnfTheory:
     """The candidate theory over the program CNF `base`, duplicate clauses
-    dropped, as `to-dimacs --candidate` prints it.
-
-    `encoded` is as in `check_candidate`.
-    """
-    return CnfTheory(base.atoms, _candidate_clauses(base, candidate, encoded))
+    dropped, as `to-dimacs --candidate` prints it."""
+    return CnfTheory(base.atoms, _candidate_clauses(base, candidate, None))
 
 
 def check_candidate(program: Program, base: CnfTheory,
@@ -181,8 +170,9 @@ def check_candidate(program: Program, base: CnfTheory,
 
     The search reads the candidate's clause list as built: a duplicate
     clause changes no model, so none is dropped.  `encoded` is one
-    solve's clause table, `(atom, supports) -> clauses`: an equation
-    found there is not encoded again, and one not found is added to it.
+    solve's clause table, `(atom, supports) -> clauses`, built once from
+    the options and only read here: an equation missing from it raises
+    KeyError.  Without it, each equation is encoded afresh.
     """
     n = len(base.atoms)
     clauses = _candidate_clauses(base, candidate, encoded)
@@ -249,21 +239,16 @@ def _walk(choices: list[list[Equation]]) -> Iterator[tuple[Equation, ...]]:
 
 
 def _account(stats: SolveStats, n: int, candidate: tuple[Equation, ...],
-             encoded: dict, costs: dict) -> None:
+             costs: dict) -> None:
     """Count one checked candidate; `costs` holds each option's
-    `(clause literals, certificate units)`, computed on first use."""
+    `(clause literals, certificate units)`."""
     stats.candidates_checked += 1
     subeq_literals = 0
     certificate = 0  # one unit per equation, guard atom, and proof-tree node
     for eq in candidate:
-        key = eq.atom, eq.supports
-        cost = costs.get(key)
-        if cost is None:
-            literals = sum(map(len, _equation_clauses(eq, n, encoded)))
-            units = 1 + sum(map(len, eq.supports)) + sum(proof.size() for proof in eq.proofs)
-            cost = costs[key] = literals, units
-        subeq_literals += cost[0]
-        certificate += cost[1]
+        literals, units = costs[eq.atom, eq.supports]
+        subeq_literals += literals
+        certificate += units
     state = subeq_literals + certificate + n
     stats.peak_candidate_state = max(stats.peak_candidate_state, state)
     stats.max_certificate_size = max(stats.max_certificate_size, certificate)
@@ -286,13 +271,21 @@ def solve_stable(program: Program, limit: int | None = None, *,
         return []
     n = len(program.atoms)
     base = program_to_cnf(program)
-    encoded: dict = {}  # this solve's clause table; see `check_candidate`
-    costs: dict = {}    # each option's `stats` counts; see `_account`
+    choices = _choices(program)
+    encoded = {}  # this solve's clause table; see `check_candidate`
+    costs = {}    # each option's `stats` counts; see `_account`
+    for options in choices:
+        for eq in options:
+            key = eq.atom, eq.supports
+            clauses = encoded[key] = equation_to_cnf(eq.atom, eq.supports, n)
+            if stats is not None:
+                units = 1 + sum(map(len, eq.supports)) + sum(proof.size() for proof in eq.proofs)
+                costs[key] = sum(map(len, clauses)), units
     results = []
     emitted: set[frozenset[int]] = set()
-    for candidate in _walk(_choices(program)):
+    for candidate in _walk(choices):
         if stats is not None:
-            _account(stats, n, candidate, encoded, costs)
+            _account(stats, n, candidate, costs)
         for model in check_candidate(program, base, candidate, encoded=encoded):
             if model not in emitted:
                 emitted.add(model)

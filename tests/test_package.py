@@ -1,6 +1,8 @@
 """The package exports what its modules declare public, each name once,
-and importing its CLI stays off the heavy standard-library modules."""
+imports nothing it does not use, and importing its CLI stays off the
+heavy standard-library modules."""
 
+import ast
 import importlib
 import pkgutil
 import subprocess
@@ -42,3 +44,31 @@ def test_cli_import_leaves_dataclasses_inspect_and_typing_out():
                           capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
     assert done.stdout == "[]\n"
+
+
+# Imported for `perfbench/spans.py`, which traces these names in `guardres.solver`.
+TRACED_IMPORTS = {("solver.py", "enumerate_supports"), ("solver.py", "enumerate_models")}
+
+
+def _unused_imports(path: Path) -> set:
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(alias.asname or alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update(alias.asname or alias.name for alias in node.names)
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(target, ast.Name) and target.id == "__all__"
+                for target in node.targets):
+            used.update(ast.literal_eval(node.value))
+    return {(path.name, name) for name in imported - used}
+
+
+def test_every_import_is_used_or_exported():
+    paths = sorted(Path(guardres.__file__).parent.glob("*.py"))
+    unused = set().union(*(_unused_imports(path) for path in paths
+                           if path.name != "__init__.py"))
+    assert unused == TRACED_IMPORTS

@@ -58,19 +58,17 @@ def test_theory_dedups_clauses():
     assert len(theory.clauses) == 1
 
 
-def test_equation_to_cnf_narrowed_shapes():
-    # -p
-    negative = equation_to_cnf(0, (), 2)
-    assert [set(c) for c in negative] == [{(0, False)}]
-    # p <-> -{r}: two clauses
-    biconditional = equation_to_cnf(0, (frozenset([1]),), 2)
-    assert set(biconditional) == {
-        frozenset({(0, False), (1, False)}),
-        frozenset({(0, True), (1, True)}),
-    }
-    # p <-> -{} is just p
-    positive = equation_to_cnf(0, (frozenset(),), 2)
-    assert [set(c) for c in positive] == [{(0, True)}]
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 5), st.frozensets(st.integers(0, 5)))
+@example(0, frozenset())
+@example(0, frozenset([0]))
+@example(3, frozenset([0, 3, 5]))
+def test_equation_to_cnf_narrowed_shapes(atom, guard):
+    # The lists, in order, behind the DIMACS text of `-p`, `p.` and `p <-> -S`.
+    assert equation_to_cnf(atom, (), 6) == [frozenset([(atom, False)])]
+    expected = [frozenset([(atom, False), (r, False)]) for r in sorted(guard)]
+    expected.append(frozenset([(atom, True)] + [(r, True) for r in guard]))
+    assert equation_to_cnf(atom, (guard,), 6) == expected
 
 
 def test_equation_to_cnf_self_guard_is_unsat():

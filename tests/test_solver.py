@@ -115,6 +115,16 @@ def test_candidate_rejects_multi_support_equation():
         check_candidate(program, program_to_cnf(program), tuple(equations))
 
 
+def test_check_candidate_only_reads_the_clause_table():
+    # Every option is in a solve's table before its walk, so a missing one is an error.
+    program = example_program()
+    encoded = {}
+    with pytest.raises(KeyError):
+        check_candidate(program, program_to_cnf(program), candidate_theory(program, 0),
+                        encoded=encoded)
+    assert encoded == {}
+
+
 def test_candidates_single_fact():
     program = prog("t.")
     base = program_to_cnf(program)

@@ -17,10 +17,13 @@ import pytest
 import guardres.solver as solver
 from guardres import (
     CnfTheory,
+    Program,
     ProofTree,
     SolveStats,
     build_completion,
     candidate_theories,
+    gl_operator,
+    is_stable,
     program_to_cnf,
     saturate_supports,
     solve_stable,
@@ -157,6 +160,34 @@ def test_ladder_derivations_are_the_stored_supports(rung_first):
 def test_program_cnf_literals_are_linear():
     # 201 -> 401: one clause per program clause.
     counts = [_cnf_literals(program_to_cnf(_definite_chain(n)).clauses) for n in (100, 200)]
+    assert counts[1] <= LINEAR_RATIO * counts[0]
+
+
+def _gamma_clause_visits(program) -> int:
+    """Clause positions read through `clauses_using` by one `is_stable` call,
+    on the one stable model of the chain and ladder families, Γ(∅)."""
+    members = gl_operator(program, frozenset())
+    visits = 0
+    using = Program.clauses_using
+
+    def counted(self, atom):
+        nonlocal visits
+        positions = using(self, atom)
+        visits += len(positions)
+        return positions
+
+    with mock.patch.object(Program, "clauses_using", counted):
+        assert is_stable(program, members)
+    return visits
+
+
+@pytest.mark.parametrize("text, n", [(reversed_chain_text, 100),
+                                     (lambda r: ladder_text(r, False), 50)],
+                         ids=["chain", "ladder"])
+def test_gamma_clause_visits_are_linear(text, n):
+    # 100 -> 200 on the chain, 100 -> 200 on the ladder at r = 50 -> 100:
+    # each derived atom's positive-body clauses are read once.
+    counts = [_gamma_clause_visits(prog(text(size))) for size in (n, 2 * n)]
     assert counts[1] <= LINEAR_RATIO * counts[0]
 
 
