@@ -4,8 +4,10 @@ The full equation theory can be exponentially large, so the solver
 commits per atom to a narrowed equation — `-p` (absence), or `p <-> -S`
 for one support S with its proof — and asks a DPLL solver for models of
 the program clauses plus those commitments.  Any model of such a candidate
-theory is stable, every stable model satisfies some candidate, and only
-one candidate plus one certificate is ever held at a time.
+theory is stable, and every stable model satisfies some candidate.  The
+search holds one candidate at a time, besides each atom's options, the
+solve's clause table of those options and the models it has emitted,
+each with its certificate (see `SolveStats`).
 """
 
 from guardres import (

@@ -4,6 +4,10 @@ Exit codes: 0 success (for `solve`, at least one model; for
 `check-tight`, tight), 10 no stable model, 11 not tight, 2 usage or
 parse errors, 3 resource limits.  All output is deterministic byte for
 byte given the same input and flags.
+
+`run` alone reads, writes and maps errors: it reads FILE (or stdin for
+`-`) as bytes and decodes them once, hands the program to a subcommand
+that returns its stdout text and exit code, and writes that text once.
 """
 
 from __future__ import annotations
@@ -87,14 +91,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _read_program(path: str) -> Program:
+    # A file and stdin alike: bytes, then one strict decode, so no newline
+    # translation (a lone `\r` stays a blank) and no `surrogateescape`.
     try:
         if path == "-":
-            # Strict UTF-8, as for a file: the text layer of stdin may
-            # decode with `surrogateescape` (UTF-8 mode).
-            text = sys.stdin.buffer.read().decode("utf-8")
+            data = sys.stdin.buffer.read()
         else:
-            with open(path, encoding="utf-8") as handle:
-                text = handle.read()
+            with open(path, "rb") as handle:
+                data = handle.read()
+        text = data.decode("utf-8")
     except OSError as exc:
         raise _CliError(f"cannot read {path}: {exc.strerror}") from exc
     except UnicodeDecodeError as exc:
@@ -118,10 +123,9 @@ def _parse_model_arg(program: Program, text: str) -> frozenset[int]:
     return frozenset(members)
 
 
-def _cmd_solve(args: argparse.Namespace) -> int:
+def _cmd_solve(args: argparse.Namespace, program: Program) -> tuple[str, int]:
     if args.limit is not None and args.limit < 1:
         raise _CliError("--limit N must be at least 1")
-    program = _read_program(args.file)
     if args.certs and args.engine != "candidate":
         raise _CliError("--certs requires --engine candidate")
     certificates = {}
@@ -141,12 +145,10 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         out.append("{" + ", ".join(names) + "}\n")
         if args.certs:
             out.append(format_certificate(program, members, certificates[members]))
-    sys.stdout.write("".join(out))
-    return 0 if models else 10
+    return "".join(out), 0 if models else 10
 
 
-def _cmd_supports(args: argparse.Namespace) -> int:
-    program = _read_program(args.file)
+def _cmd_supports(args: argparse.Namespace, program: Program) -> tuple[str, int]:
     if args.atom not in program.atoms:
         raise _CliError(f"unknown atom {args.atom!r}")
     atom = program.atoms.id_of(args.atom)
@@ -155,54 +157,43 @@ def _cmd_supports(args: argparse.Namespace) -> int:
     for guard, proof in proofs.items():
         # Certified as `solve --certs` certifies its proofs, before any is printed.
         support_subequation(program, atom, guard, proof)
+    out: list[str] = []
     for guard in table.supports(atom):
-        print(format_interpretation(program.atoms, guard))
+        out.append(format_interpretation(program.atoms, guard) + "\n")
         if args.proofs:
-            print(format_proof(proofs[guard], program.atoms), end="")
-    return 0
+            out.append(format_proof(proofs[guard], program.atoms))
+    return "".join(out), 0
 
 
-def _cmd_completion(args: argparse.Namespace) -> int:
-    program = _read_program(args.file)
-    print(format_equations(build_completion(program), program.atoms), end="")
-    return 0
+def _cmd_completion(args: argparse.Namespace, program: Program) -> tuple[str, int]:
+    return format_equations(build_completion(program), program.atoms), 0
 
 
-def _cmd_negate(args: argparse.Namespace) -> int:
-    program = _read_program(args.file)
-    print(render_program(dung_transform(program)), end="")
-    return 0
+def _cmd_negate(args: argparse.Namespace, program: Program) -> tuple[str, int]:
+    return render_program(dung_transform(program)), 0
 
 
-def _cmd_check_tight(args: argparse.Namespace) -> int:
-    program = _read_program(args.file)
+def _cmd_check_tight(args: argparse.Namespace, program: Program) -> tuple[str, int]:
     if args.on is not None:
-        members = _parse_model_arg(program, args.on)
-        ranks = is_tight_on(program, members)
+        ranks = is_tight_on(program, _parse_model_arg(program, args.on))
     else:
         ranks = is_tight(program)
     if ranks is None:
-        print("not tight")
-        return 11
-    print("tight")
+        return "not tight\n", 11
     name = program.atoms.name
-    for atom in sorted(ranks, key=name):
-        print(f"{name(atom)} {ranks[atom]}")
-    return 0
+    return "tight\n" + "".join(
+        f"{name(atom)} {ranks[atom]}\n" for atom in sorted(ranks, key=name)), 0
 
 
-def _cmd_check_model(args: argparse.Namespace) -> int:
-    program = _read_program(args.file)
+def _cmd_check_model(args: argparse.Namespace, program: Program) -> tuple[str, int]:
     members = _parse_model_arg(program, args.model)
     verdict = lambda flag: "yes" if flag else "no"
-    print(f"stable: {verdict(is_stable(program, members))}")
-    print(f"supported: {verdict(is_supported(program, members))}")
-    print(f"has-levels: {verdict(compute_levels(program, members) is not None)}")
-    return 0
+    return (f"stable: {verdict(is_stable(program, members))}\n"
+            f"supported: {verdict(is_supported(program, members))}\n"
+            f"has-levels: {verdict(compute_levels(program, members) is not None)}\n"), 0
 
 
-def _cmd_to_dimacs(args: argparse.Namespace) -> int:
-    program = _read_program(args.file)
+def _cmd_to_dimacs(args: argparse.Namespace, program: Program) -> tuple[str, int]:
     theory = program_to_cnf(program)
     if args.candidate is not None:
         if args.candidate < 0:
@@ -212,8 +203,7 @@ def _cmd_to_dimacs(args: argparse.Namespace) -> int:
         except IndexError:
             raise _CliError(f"candidate index {args.candidate} is out of range") from None
         theory = candidate_cnf(theory, candidate)
-    print(export_dimacs(theory), end="")
-    return 0
+    return export_dimacs(theory), 0
 
 
 _COMMANDS = {
@@ -228,20 +218,20 @@ _COMMANDS = {
 
 
 def run(argv: Sequence[str] | None = None) -> int:
-    """Parse arguments, dispatch, and map errors to the exit-code contract."""
+    """Parse arguments, read FILE, dispatch, write stdout once, and map
+    errors to the exit-code contract; a failed run writes no stdout."""
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:  # argparse uses 2 for usage errors, 0 for --help
         return int(exc.code or 0)
     try:
-        return _COMMANDS[args.command](args)
-    except (ParseError, _CliError) as exc:
+        out, code = _COMMANDS[args.command](args, _read_program(args.file))
+    except (ParseError, _CliError, ResourceLimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ResourceLimitError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+        return 3 if isinstance(exc, ResourceLimitError) else 2
+    sys.stdout.write(out)
+    return code
 
 
 def main() -> None:

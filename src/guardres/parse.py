@@ -23,6 +23,10 @@ ends work) and a non-ASCII character are one column each.  The
 end-of-input position is just past the last line's last character, or
 at its `%` when the last line ends in a comment, since a comment never
 advances the column.
+
+The CLI decodes a FILE and `-` (stdin) the same way: its bytes, once, as
+strict UTF-8, with no newline translation.  So a lone `\r` is a blank
+from either, never a line end.
 """
 
 from __future__ import annotations

@@ -4,9 +4,10 @@ import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from guardres.cli import run
@@ -16,6 +17,7 @@ from corpus import (
     EXAMPLE_TEXT,
     FOUR_PAIRS_TEXT,
     ladder_text,
+    random_lp_text,
     reference_certificate,
     reference_format_proof,
     reference_saturate_supports,
@@ -56,6 +58,30 @@ def test_solve_reads_stdin(monkeypatch, capsys):
                         io.TextIOWrapper(io.BytesIO(b"a :- not b.\n"), encoding="utf-8"))
     assert run(["solve", "-"]) == 0
     assert capsys.readouterr().out == "{a}\n"
+
+
+def _run_captured(argv, stdin=b""):
+    """`run(argv)` with `stdin` as its standard input: (stdout, stderr, code)."""
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch("sys.stdin", io.TextIOWrapper(io.BytesIO(stdin), encoding="utf-8")), \
+            redirect_stdout(out), redirect_stderr(err):
+        code = run(argv)
+    return out.getvalue(), err.getvalue(), code
+
+
+# A lone `\r` is a blank, so the comment runs on to the `\n` and swallows
+# `b :- not a.` and `c.`; a file used to read it as three lines.
+LONE_CR_BYTES = b"a. % note\rb :- not a.\rc.\n"
+
+
+def test_lone_carriage_return_in_file_is_a_blank(tmp_path, capsys):
+    path = tmp_path / "cr.lp"
+    path.write_bytes(LONE_CR_BYTES)
+    assert run(["solve", str(path)]) == 0
+    assert capsys.readouterr().out == "{a}\n"
+    path.write_bytes(b"a.\r:- b.\n")
+    assert run(["solve", str(path)]) == 2
+    assert capsys.readouterr().err == "error: line 1, column 4: expected clause head, found ':-'\n"
 
 
 def test_solve_multiple_models_sorted_by_name(tmp_path, capsys):
@@ -215,6 +241,18 @@ def test_missing_file_exits_2(capsys):
     assert run(["solve", "/nonexistent/x.lp"]) == 2
 
 
+def test_file_error_comes_before_flag_errors(tmp_path, capsys):
+    # FILE is read before any subcommand checks its flags.
+    assert run(["solve", "/nonexistent/x.lp", "--limit", "0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: cannot read /nonexistent/x.lp: No such file or directory\n"
+    path = tmp_path / "bad.lp"
+    path.write_text("p :- not.\n")
+    assert run(["solve", str(path), "--limit", "0"]) == 2
+    assert capsys.readouterr().err.startswith("error: line 1, column 6: ")
+
+
 def test_undecodable_input_exits_2(tmp_path, monkeypatch, capsys):
     raw = b"\xff\xfe a.\n"
     path = tmp_path / "bad.lp"
@@ -236,6 +274,29 @@ def test_undecodable_stdin_exits_2_in_utf8_mode():
     assert done.returncode == 2
     assert done.stdout == b""
     assert done.stderr.startswith(b"error: cannot read -: ")
+
+
+_SAME_INPUT_COMMANDS = [["solve"], ["solve", "--certs"], ["completion"], ["negate"],
+                        ["supports", "--atom", "a", "--proofs"]]
+
+
+@pytest.fixture(scope="module")
+def same_input_file(tmp_path_factory):
+    return tmp_path_factory.mktemp("same-input") / "input.lp"
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.randoms(use_true_random=False).map(lambda rng: random_lp_text(rng).encode()))
+@example(data=LONE_CR_BYTES)
+@example(data=b"a.\r:- b.\n")
+@example(data=b"a :- not b.\r\nb :- not a.\r\n")
+@example(data=b"a.\n\xff\xfe b.\n")
+def test_file_and_stdin_read_the_same_program(same_input_file, data):
+    same_input_file.write_bytes(data)
+    for argv in _SAME_INPUT_COMMANDS:
+        out, err, code = _run_captured([argv[0], str(same_input_file), *argv[1:]])
+        assert (out, err.replace(str(same_input_file), "-"), code) == \
+            _run_captured([argv[0], "-", *argv[1:]], stdin=data)
 
 
 @pytest.mark.parametrize("argv, text, code", [
@@ -355,6 +416,27 @@ def test_oracle_commands_deep_chain(deep_chain_file, capsys):
     assert run(["check-tight", deep_chain_file]) == 0
     assert capsys.readouterr().out == "tight\n" + "".join(
         f"{name} {name[1:]}\n" for name in sorted(atoms))
+
+
+def test_program_commands_deep_chain(deep_chain_file, capsys):
+    # Every atom of the chain is a fact of E_P and of the negative program.
+    facts = "".join(f"a{i}.\n" for i in range(DEEP_LEVELS + 1))
+    assert run(["completion", deep_chain_file]) == 0
+    assert capsys.readouterr().out == facts
+    assert run(["negate", deep_chain_file]) == 0
+    assert capsys.readouterr().out == facts
+    assert run(["to-dimacs", deep_chain_file]) == 0
+    n = DEEP_LEVELS + 1
+    assert capsys.readouterr().out == (
+        "".join(f"c {i + 1} a{i}\n" for i in range(n)) + f"p cnf {n} {n}\n1 0\n"
+        + "".join(f"-{i} {i + 1} 0\n" for i in range(1, n)))
+
+
+@pytest.mark.parametrize("limit", [[], ["--limit", "1"]], ids=["all", "limit-1"])
+def test_solve_completion_deep_chain(deep_chain_file, capsys, limit):
+    assert run(["solve", deep_chain_file, "--engine", "completion", *limit]) == 0
+    names = sorted(f"a{i}" for i in range(DEEP_LEVELS + 1))
+    assert capsys.readouterr().out == "{" + ", ".join(names) + "}\n"
 
 
 def test_solve_certs_deep_search(tmp_path, capsys):
@@ -507,6 +589,24 @@ def test_help_exits_zero(capsys):
     assert run(["--help"]) == 0
 
 
+def test_run_reused_in_one_process_matches_fresh_processes(example_file, monkeypatch):
+    # No state may leak from one call to the next, so a sequence of calls
+    # in one process gives what fresh processes give.
+    monkeypatch.setenv("COLUMNS", "80")  # `--help` wraps at the terminal width
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    calls = [["solve", example_file, "--certs"], ["--help"], ["solve", example_file, "--bogus"],
+             ["supports", example_file, "--atom", "p", "--proofs"],
+             ["solve", example_file, "--engine", "completion", "--limit", "1"],
+             ["to-dimacs", example_file, "--candidate", "5"]]
+    in_process = [_run_captured(argv) for argv in calls]
+    assert [code for _, _, code in in_process] == [0, 0, 2, 0, 0, 0]
+    for argv, result in zip(calls, in_process):
+        done = subprocess.run([sys.executable, "-m", "guardres.cli", *argv], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert result == (done.stdout, done.stderr, done.returncode)
+
+
 _SUBCOMMANDS = ["solve", "supports", "completion", "negate", "check-tight",
                 "check-model", "to-dimacs"]
 _FLAG_WORDS = ["--engine", "candidate", "completion", "brute", "--limit", "--certs",
@@ -527,6 +627,10 @@ def fuzz_file(tmp_path_factory):
        flags=st.lists(st.sampled_from(_FLAG_WORDS), max_size=6))
 def test_exit_code_contract_property(fuzz_file, command, text, flags):
     fuzz_file.write_text(text, encoding="utf-8")
-    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
-        code = run([command, str(fuzz_file)] + flags)
+    out, err, code = _run_captured([command, str(fuzz_file)] + flags)
     assert code in (0, 10, 11, 2, 3)
+    # A failed run prints nothing on stdout and says why on stderr.
+    if code in (2, 3):
+        assert out == ""
+    if code == 2:
+        assert err.startswith(("error: ", "usage: "))
