@@ -3,7 +3,8 @@
 Exit codes: 0 success (for `solve`, at least one model; for
 `check-tight`, tight), 10 no stable model, 11 not tight, 2 usage or
 parse errors, 3 resource limits.  All output is deterministic byte for
-byte given the same input and flags.
+byte given the same input and flags; help and usage messages are laid
+out at 78 columns whatever the terminal, so `COLUMNS` changes nothing.
 
 `run` alone reads, writes and maps errors: it reads FILE (or stdin for
 `-`) as bytes and decodes them once, hands the program to a subcommand
@@ -15,6 +16,7 @@ from __future__ import annotations
 import argparse
 import sys
 from collections.abc import Sequence
+from functools import partial
 
 from .completion import build_completion, dung_transform, format_equations, models_of_completion
 from .core import Program, ResourceLimitError, format_interpretation
@@ -42,11 +44,19 @@ class _CliError(Exception):
     """Usage-level problem discovered after argument parsing."""
 
 
+# One width for every parser: left unset, argparse asks `COLUMNS` or the
+# terminal, and falls back to 80 columns less 2 when there is neither.
+_FORMATTER = partial(argparse.HelpFormatter, width=78)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="guardres",
-        description="Stable models of normal logic programs via guarded unit resolution.")
-    sub = parser.add_subparsers(dest="command", required=True)
+        description="Stable models of normal logic programs via guarded unit resolution.",
+        formatter_class=_FORMATTER)
+    sub = parser.add_subparsers(
+        dest="command", required=True,
+        parser_class=partial(argparse.ArgumentParser, formatter_class=_FORMATTER))
 
     solve = sub.add_parser("solve", help="print the stable models of PROGRAM")
     solve.add_argument("file", metavar="FILE", help="program file, or - for stdin")

@@ -12,8 +12,10 @@ loop and recursive lazy enumeration as references for the guarded
 layer's exact support tables and `(guard, proof)` streams, and the
 unpruned candidate walk as the reference for the solver's model order
 and certificates, with the leaf-at-a-time pruning rule as the reference
-for the candidates its walk leaves.  A model's certificate is also
-rebuilt from it atom by atom, from the guarded layer's references alone.
+for the candidates its walk leaves; the one ordered search over `E_P`
+meant to replace that walk must give the same pairs.  A model's
+certificate is also rebuilt from it atom by atom, from the guarded
+layer's references alone.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ from guardres import (
     candidate_theories,
     check_candidate,
     gl_operator,
+    is_stable,
     parse_program,
     program_to_cnf,
     solve_stable,
@@ -46,7 +49,7 @@ from guardres.guarded import (
     saturate_supports,
 )
 from guardres.parse import ParseError, SourceSpan
-from guardres.sat import make_clause
+from guardres.sat import _search, equation_to_cnf, make_clause
 
 EXAMPLE_TEXT = "p :- t, not q.\np :- not r.\nq :- not s.\nt.\n"
 
@@ -594,6 +597,45 @@ def reference_solve_stable(program: Program, limit: int | None = None) -> list:
             results.append((model, candidate))
             if limit is not None and len(results) >= limit:
                 return results
+    return results
+
+
+def reference_one_search(program: Program, limit: int | None = None) -> list:
+    """ROADMAP item 2's one ordered search over `E_P`, as `solve_stable` pairs.
+
+    The options are `solver._choices`'.  The clauses are the program CNF,
+    then each atom's `equation_to_cnf` over its option guards in that
+    order, the chain atoms numbered after every program atom.  `_search`
+    branches on atom 0, its chain atoms, atom 1, its chain atoms, and so
+    on, false first, so the earliest option is tried first.  Each model
+    is projected to the program atoms and must be stable; its
+    certificate is `-p` for every atom outside it and, for every atom in
+    it, the first option whose guard it avoids.
+    """
+    if limit is not None and limit <= 0:
+        return []
+    choices = solver._choices(program)
+    n = len(program.atoms)
+    clauses = list(program_to_cnf(program).clauses)
+    order = []
+    next_aux = n
+    for atom, options in enumerate(choices):
+        guards = tuple(eq.supports[0] for eq in options[1:])
+        clauses += equation_to_cnf(atom, guards, next_aux)
+        chain = max(len(guards) - 1, 0)
+        order += [atom, *range(next_aux, next_aux + chain)]
+        next_aux += chain
+    results = []
+    for extended in _search(next_aux, clauses, order):
+        model = frozenset(atom for atom in extended if atom < n)
+        assert is_stable(program, model)
+        certificate = tuple(
+            options[0] if atom not in model
+            else next(eq for eq in options[1:] if not eq.supports[0] & model)
+            for atom, options in enumerate(choices))
+        results.append((model, certificate))
+        if limit is not None and len(results) >= limit:
+            break
     return results
 
 

@@ -1,5 +1,6 @@
 import io
 import os
+import shutil
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -589,10 +590,41 @@ def test_help_exits_zero(capsys):
     assert run(["--help"]) == 0
 
 
-def test_run_reused_in_one_process_matches_fresh_processes(example_file, monkeypatch):
+_SUBCOMMANDS = ["solve", "supports", "completion", "negate", "check-tight",
+                "check-model", "to-dimacs"]
+# Every help text, plus a missing FILE and an unknown subcommand (exit 2).
+_HELP_AND_USAGE = [["--help"], *([name, "--help"] for name in _SUBCOMMANDS),
+                   ["solve"], ["bogus"]]
+
+
+@pytest.mark.parametrize("argv", _HELP_AND_USAGE, ids=" ".join)
+def test_help_and_usage_ignore_the_terminal_width(monkeypatch, argv):
+    results = []
+    for columns in ("40", "200", None):
+        if columns is None:
+            monkeypatch.delenv("COLUMNS", raising=False)
+        else:
+            monkeypatch.setenv("COLUMNS", columns)
+        results.append(_run_captured(argv))
+    assert results[0] == results[1] == results[2]
+    out, err, code = results[0]
+    assert code == (0 if "--help" in argv else 2)
+    assert (out if code == 0 else err).startswith("usage: guardres")
+
+
+def test_run_never_asks_for_the_terminal_size(example_file, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("run() asked for the terminal size")
+
+    monkeypatch.setattr(shutil, "get_terminal_size", refuse)
+    for argv in [*_HELP_AND_USAGE, ["solve", example_file, "--certs"],
+                 ["solve", example_file, "--limit", "0"]]:
+        _run_captured(argv)
+
+
+def test_run_reused_in_one_process_matches_fresh_processes(example_file):
     # No state may leak from one call to the next, so a sequence of calls
     # in one process gives what fresh processes give.
-    monkeypatch.setenv("COLUMNS", "80")  # `--help` wraps at the terminal width
     src = Path(__file__).resolve().parent.parent / "src"
     env = dict(os.environ, PYTHONPATH=str(src))
     calls = [["solve", example_file, "--certs"], ["--help"], ["solve", example_file, "--bogus"],
@@ -607,8 +639,6 @@ def test_run_reused_in_one_process_matches_fresh_processes(example_file, monkeyp
         assert result == (done.stdout, done.stderr, done.returncode)
 
 
-_SUBCOMMANDS = ["solve", "supports", "completion", "negate", "check-tight",
-                "check-model", "to-dimacs"]
 _FLAG_WORDS = ["--engine", "candidate", "completion", "brute", "--limit", "--certs",
                "--jobs", "--atom", "--proofs", "--on", "--model", "--candidate",
                "a", "zz", "{a}", "{a, b}", "{", "0", "1", "2", "-1", "x"]

@@ -32,14 +32,17 @@ from corpus import (
     FOUR_PAIRS_TEXT,
     checked_candidates,
     example_program,
+    ladder_text,
     members_of,
     names_of,
     prog,
     random_program,
     reference_choices,
     reference_model_certificate,
+    reference_one_search,
     reference_prunable,
     reference_solve_stable,
+    reversed_chain_text,
     small_programs,
 )
 
@@ -274,6 +277,30 @@ def test_solve_matches_unpruned_reference_property(program):
                     for model, candidate in reference_solve_stable(program, limit)]
         assert [format_certificate(program, model, candidate)
                 for model, candidate in solve_stable(program, limit)] == expected
+
+
+def _assert_one_search_matches_solve(program):
+    for limit in (None, 1, 2):
+        assert reference_one_search(program, limit) == solve_stable(program, limit)
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_programs())
+def test_one_search_matches_solve_property(program):
+    _assert_one_search_matches_solve(program)
+
+
+def test_one_search_matches_solve_on_random_corpus():
+    rng = random.Random(2027)
+    for _ in range(500):
+        _assert_one_search_matches_solve(random_program(rng))
+
+
+@pytest.mark.parametrize("text", [FOUR_PAIRS_TEXT, ladder_text(4, False), ladder_text(4, True),
+                                  reversed_chain_text(8)],
+                         ids=["four-pairs", "ladder", "ladder-rung-first", "definite-chain"])
+def test_one_search_matches_solve_on_families(text):
+    _assert_one_search_matches_solve(prog(text))
 
 
 @settings(max_examples=100, deadline=None)

@@ -7,6 +7,7 @@ most grow by LINEAR_RATIO; a known superlinear path is pinned as a
 strict xfail, so the change that makes it linear must remove the marker.
 """
 
+import gc
 import random
 from collections import Counter
 from pathlib import Path
@@ -28,9 +29,11 @@ from guardres import (
     saturate_supports,
     solve_stable,
 )
+from guardres.cli import run
 from guardres.sat import equation_to_cnf
 
 from corpus import (
+    EXAMPLE_TEXT,
     FOUR_PAIRS_TEXT,
     example_program,
     ladder_text,
@@ -225,3 +228,22 @@ def test_definite_chain_candidates_checked_are_linear():
         solve_stable(_definite_chain(n), stats=stats)
         counts.append(stats.candidates_checked)
     assert counts[1] <= LINEAR_RATIO * counts[0]
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 3")
+def test_cli_calls_leave_no_cyclic_garbage(tmp_path, capsys):
+    # Each `run()` builds an argparse parser tree, about 267 objects in
+    # reference cycles, that only the cyclic collector frees.
+    path = tmp_path / "example.lp"
+    path.write_text(EXAMPLE_TEXT)
+    calls = [["solve", str(path), "--certs"], ["supports", str(path), "--atom", "p", "--proofs"],
+             ["solve", str(path), "--engine", "completion"]]
+    run(calls[0])
+    gc.collect()
+    gc.disable()
+    try:
+        for argv in calls:
+            assert run(argv) == 0
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
