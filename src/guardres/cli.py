@@ -2,18 +2,22 @@
 
 Exit codes: 0 success (for `solve`, at least one model; for
 `check-tight`, tight), 10 no stable model, 11 not tight, 2 usage or
-parse errors, 3 resource limits.  All output is deterministic byte for
+parse errors (an unreadable stdin or an unwritable stdout among
+them), 3 resource limits.  All output is deterministic byte for
 byte given the same input and flags; help and usage messages are laid
 out at 78 columns whatever the terminal, so `COLUMNS` changes nothing.
 
 `run` alone reads, writes and maps errors: it reads FILE (or stdin for
 `-`) as bytes and decodes them once, hands the program to a subcommand
-that returns its stdout text and exit code, and writes that text once.
+that returns its stdout text and exit code, and writes and flushes that
+text once.  `main`, the process entry, keeps the interpreter's exit
+flush from raising a write error a second time.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from collections.abc import Sequence
 from functools import partial
@@ -105,6 +109,8 @@ def _read_program(path: str) -> Program:
     # translation (a lone `\r` stays a blank) and no `surrogateescape`.
     try:
         if path == "-":
+            if sys.stdin is None:
+                raise _CliError("cannot read -: stdin is closed")
             data = sys.stdin.buffer.read()
         else:
             with open(path, "rb") as handle:
@@ -115,6 +121,20 @@ def _read_program(path: str) -> Program:
     except UnicodeDecodeError as exc:
         raise _CliError(f"cannot read {path}: {exc}") from exc
     return parse_program(text)
+
+
+def _write_stdout(text: str) -> None:
+    # Flushed even when `text` is empty: help text that argparse wrote may
+    # still be buffered.  A closed stdout only fails a run with output.
+    if sys.stdout is None:
+        if text:
+            raise _CliError("cannot write stdout: stdout is closed")
+        return
+    try:
+        sys.stdout.write(text)
+        sys.stdout.flush()
+    except OSError as exc:
+        raise _CliError(f"cannot write stdout: {exc.strerror}") from exc
 
 
 def _parse_model_arg(program: Program, text: str) -> frozenset[int]:
@@ -228,24 +248,37 @@ _COMMANDS = {
 
 
 def run(argv: Sequence[str] | None = None) -> int:
-    """Parse arguments, read FILE, dispatch, write stdout once, and map
-    errors to the exit-code contract; a failed run writes no stdout."""
+    """Parse arguments, read FILE, dispatch, write and flush stdout once,
+    and map errors to the exit-code contract; a run that fails before its
+    write writes no stdout."""
     parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:  # argparse uses 2 for usage errors, 0 for --help
-        return int(exc.code or 0)
-    try:
-        out, code = _COMMANDS[args.command](args, _read_program(args.file))
+        try:
+            args = parser.parse_args(argv)
+        except SystemExit as exc:  # argparse uses 2 for usage errors, 0 for --help
+            out, code = "", int(exc.code or 0)
+        else:
+            out, code = _COMMANDS[args.command](args, _read_program(args.file))
+        _write_stdout(out)
     except (ParseError, _CliError, ResourceLimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3 if isinstance(exc, ResourceLimitError) else 2
-    sys.stdout.write(out)
     return code
 
 
 def main() -> None:
-    sys.exit(run())
+    code = run()
+    # A failed write leaves its text buffered, and the interpreter's exit
+    # flush would raise on it again; point fd 1 at the null device instead,
+    # as the `signal` module's note on SIGPIPE advises.
+    try:
+        if sys.stdout is not None:
+            sys.stdout.flush()
+    except OSError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -13,11 +13,16 @@ candidate theory is a stable model, and every stable model satisfies
 some candidate, so iterating candidates and enumerating their models is
 a sound and complete solver.  The search is one depth-first
 walk of the product over atom ids, on an explicit stack, that meets the
-candidates in product order.  It cuts a prefix as soon as a placed guard
-meets an atom placed as `p.`: under that prefix `q <-> -S` with `p` in
-S makes `q` false, so choosing `-q` instead gives an earlier candidate
-with a superset of the models, and a cut prefix never holds the first
-occurrence of a model.  Time is exponential in the worst case;
+candidates in product order.  Each frame of the stack is one depth: the
+options left to try there, and two frozensets built once from the frame
+above, the atoms placed as `p.` and the atoms held by placed guards.
+Backtracking pops a frame, so nothing is ever undone.  The walk cuts a
+prefix as soon as a placed guard meets an atom placed as `p.`: under
+that prefix `q <-> -S` with `p` in S makes `q` false, so choosing `-q`
+instead gives an earlier candidate with a superset of the models, and a
+cut prefix never holds the first occurrence of a model.  Only candidates
+from outside a solve have their shape checked; the walk's are built
+well-formed.  Time is exponential in the worst case;
 per-candidate state stays linear in the program plus the certificate
 being carried (see SolveStats).  Each `solve_stable` call builds one
 clause table from the options before its walk, keyed by a narrowed
@@ -81,10 +86,11 @@ class SolveStats(Record):
     below STATE_BOUND_FACTOR * (program_size + max_certificate_size);
     the shared program CNF, the solve's clause table (each option's
     clauses, built once from the options before the walk and only read
-    after it) and the emitted-model set are deliberately outside the
-    counter.  Each option's counts come from the same pass that builds
-    the table.  `candidates_checked` counts the candidates left after
-    pruning, that is, those whose models were enumerated.
+    after it), the walk's frames and the first-candidate map (each model
+    found so far to the first candidate that has it) are deliberately
+    outside the counter.  Each option's counts come from the same pass
+    that builds the table.  `candidates_checked` counts the candidates
+    left after pruning, that is, those whose models were enumerated.
     """
 
     __slots__ = ("program_size", "candidates_checked", "models_emitted",
@@ -144,12 +150,14 @@ def candidate_theory(program: Program, index: int) -> tuple[Equation, ...]:
 def _candidate_clauses(base: CnfTheory, candidate: tuple[Equation, ...],
                        encoded: dict | None) -> list:
     """The clauses of `base`, then the clauses of each narrowed equation,
-    read from `encoded` as in `check_candidate`."""
-    # An equation with two or more supports drops out, so the ids then differ.
-    narrowed = [equation.atom for equation in candidate if len(equation.supports) < 2]
+    read from `encoded` as in `check_candidate`.  Without a table the
+    candidate comes from outside a solve, so its shape is checked first."""
     n = len(base.atoms)
-    if narrowed != list(range(n)):
-        raise ValueError("candidate needs exactly one narrowed equation per atom, in order")
+    if encoded is None:
+        # An equation with two or more supports drops out, so the ids then differ.
+        narrowed = [equation.atom for equation in candidate if len(equation.supports) < 2]
+        if narrowed != list(range(n)):
+            raise ValueError("candidate needs exactly one narrowed equation per atom, in order")
     clauses = list(base.clauses)
     for equation in candidate:
         key = equation.atom, equation.supports
@@ -172,7 +180,9 @@ def check_candidate(program: Program, base: CnfTheory,
     clause changes no model, so none is dropped.  `encoded` is one
     solve's clause table, `(atom, supports) -> clauses`, built once from
     the options and only read here: an equation missing from it raises
-    KeyError.  Without it, each equation is encoded afresh.
+    KeyError.  Without it, the candidate's shape is checked (ValueError
+    unless one narrowed equation per atom, in id order) and each
+    equation is encoded afresh.
     """
     n = len(base.atoms)
     clauses = _candidate_clauses(base, candidate, encoded)
@@ -190,68 +200,44 @@ def _walk(choices: list[list[Equation]]) -> Iterator[tuple[Equation, ...]]:
     """The candidates of `product(*choices)` in its order, minus every cut prefix.
 
     Depth-first over the atoms with more than one option, on an explicit
-    stack; an atom with only `-p` keeps it and never cuts.  A prefix is
-    cut when a placed guard meets an atom placed as `p.`, checked when
-    the later of the two is placed.
+    stack; an atom with only `-p` keeps it and never cuts.  A frame holds
+    the options left at its depth, the atoms placed as `p.` above it and
+    the atoms held by guards placed above it; placing an option builds
+    the next frame, and a depth with no options left is popped.  A
+    prefix is cut when a placed guard meets an atom placed as `p.`,
+    checked when the later of the two is placed.
     """
     combo = [options[0] for options in choices]
     branching = [atom for atom, options in enumerate(choices) if len(options) > 1]
-    depth_count = len(branching)
-    tried = [0] * depth_count  # options tried so far at each depth
-    hits = [0] * len(choices)  # placed guards holding each atom
-    facts: set[int] = set()    # atoms placed as `p.`
-    depth = 0
-    while depth >= 0:
-        if depth == depth_count:
-            yield tuple(combo)
-            depth -= 1
+    if not branching:
+        yield tuple(combo)
+        return
+    last = len(branching) - 1
+    stack = [(iter(choices[branching[0]]), frozenset(), frozenset())]
+    while stack:
+        options, facts, held = stack[-1]
+        equation = next(options, None)
+        if equation is None:
+            stack.pop()
             continue
+        depth = len(stack) - 1
         atom = branching[depth]
-        options = choices[atom]
-        placed = combo[atom]
-        if placed.supports:  # undo the option this depth placed last
-            if placed.supports[0]:
-                for r in placed.supports[0]:
-                    hits[r] -= 1
-            else:
-                facts.discard(atom)
-            combo[atom] = options[0]
-        index = tried[depth]
-        if index == len(options):
-            tried[depth] = 0
-            depth -= 1
-            continue
-        tried[depth] = index + 1
-        equation = options[index]
         if equation.supports:
             guard = equation.supports[0]
             if guard:
                 if not facts.isdisjoint(guard):
                     continue
-                for r in guard:
-                    hits[r] += 1
-            elif hits[atom]:
+                held = held | guard
+            elif atom in held:
                 continue
             else:
-                facts.add(atom)
-            combo[atom] = equation
-        depth += 1
-
-
-def _account(stats: SolveStats, n: int, candidate: tuple[Equation, ...],
-             costs: dict) -> None:
-    """Count one checked candidate; `costs` holds each option's
-    `(clause literals, certificate units)`."""
-    stats.candidates_checked += 1
-    subeq_literals = 0
-    certificate = 0  # one unit per equation, guard atom, and proof-tree node
-    for eq in candidate:
-        literals, units = costs[eq.atom, eq.supports]
-        subeq_literals += literals
-        certificate += units
-    state = subeq_literals + certificate + n
-    stats.peak_candidate_state = max(stats.peak_candidate_state, state)
-    stats.max_certificate_size = max(stats.max_certificate_size, certificate)
+                facts = facts | {atom}
+        # Every deeper atom is placed again before the next yield.
+        combo[atom] = equation
+        if depth == last:
+            yield tuple(combo)
+        else:
+            stack.append((iter(choices[branching[depth + 1]]), facts, held))
 
 
 def solve_stable(program: Program, limit: int | None = None, *,
@@ -273,26 +259,32 @@ def solve_stable(program: Program, limit: int | None = None, *,
     base = program_to_cnf(program)
     choices = _choices(program)
     encoded = {}  # this solve's clause table; see `check_candidate`
-    costs = {}    # each option's `stats` counts; see `_account`
+    costs = {}    # each option's `(clause literals, certificate units)`
     for options in choices:
         for eq in options:
             key = eq.atom, eq.supports
             clauses = encoded[key] = equation_to_cnf(eq.atom, eq.supports, n)
             if stats is not None:
+                # One certificate unit per equation, guard atom, and proof-tree node.
                 units = 1 + sum(map(len, eq.supports)) + sum(proof.size() for proof in eq.proofs)
                 costs[key] = sum(map(len, clauses)), units
-    results = []
-    emitted: set[frozenset[int]] = set()
+    firsts = {}  # each model found so far -> the first candidate that has it
     for candidate in _walk(choices):
         if stats is not None:
-            _account(stats, n, candidate, costs)
+            stats.candidates_checked += 1
+            literals = certificate = 0
+            for eq in candidate:
+                option_literals, option_units = costs[eq.atom, eq.supports]
+                literals += option_literals
+                certificate += option_units
+            stats.peak_candidate_state = max(stats.peak_candidate_state,
+                                             literals + certificate + n)
+            stats.max_certificate_size = max(stats.max_certificate_size, certificate)
         for model in check_candidate(program, base, candidate, encoded=encoded):
-            if model not in emitted:
-                emitted.add(model)
-                results.append((model, candidate))
-        if limit is not None and len(results) >= limit:
-            del results[limit:]
+            firsts.setdefault(model, candidate)
+        if limit is not None and len(firsts) >= limit:
             break
+    results = list(firsts.items())[:limit]
     if stats is not None:
         stats.models_emitted = len(results)
     return results

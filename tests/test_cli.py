@@ -1,3 +1,4 @@
+import errno
 import io
 import os
 import shutil
@@ -664,3 +665,78 @@ def test_exit_code_contract_property(fuzz_file, command, text, flags):
         assert out == ""
     if code == 2:
         assert err.startswith(("error: ", "usage: "))
+
+
+def test_closed_stdin_exits_2(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "stdin", None)
+    assert run(["solve", "-"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: cannot read -: stdin is closed\n"
+
+
+def test_closed_stdout_exits_2(example_file, monkeypatch):
+    err = io.StringIO()
+    monkeypatch.setattr(sys, "stdout", None)
+    with redirect_stderr(err):
+        assert run(["solve", example_file]) == 2
+    assert err.getvalue() == "error: cannot write stdout: stdout is closed\n"
+
+
+@pytest.mark.parametrize("method", ["write", "flush"])
+@pytest.mark.parametrize("error", [OSError(errno.ENOSPC, os.strerror(errno.ENOSPC)),
+                                   BrokenPipeError(errno.EPIPE, os.strerror(errno.EPIPE))],
+                         ids=["ENOSPC", "EPIPE"])
+def test_stdout_write_error_exits_2(example_file, monkeypatch, method, error):
+    stdout, err = io.StringIO(), io.StringIO()
+
+    def fail(*args):
+        raise error
+
+    monkeypatch.setattr(stdout, method, fail)
+    monkeypatch.setattr(sys, "stdout", stdout)
+    with redirect_stderr(err):
+        assert run(["solve", example_file]) == 2
+    assert err.getvalue() == f"error: cannot write stdout: {error.strerror}\n"
+
+
+def _fresh_process(argv, **popen):
+    """`argv` as its own process, with this checkout's `src` on the path:
+    (exit code, stderr).  Comparing the whole stderr with one `error: `
+    line rules out a traceback and an error from the exit flush."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    done = subprocess.run(argv, env=env, stderr=subprocess.PIPE, text=True, timeout=60,
+                          **popen)
+    return done.returncode, done.stderr
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs sh and /dev/full")
+@pytest.mark.parametrize("args, redirect, message", [
+    (["solve", "-"], "<&-", "cannot read -: stdin is closed"),
+    (["solve", "FILE"], ">&-", "cannot write stdout: stdout is closed"),
+    (["solve", "FILE"], "> /dev/full", "cannot write stdout: " + os.strerror(errno.ENOSPC)),
+    # argparse writes help text itself, so `run` flushes even with no text of its own.
+    (["--help"], "> /dev/full", "cannot write stdout: " + os.strerror(errno.ENOSPC)),
+], ids=["closed-stdin", "closed-stdout", "dev-full", "help-dev-full"])
+def test_io_failure_in_a_fresh_process_exits_2(example_file, args, redirect, message):
+    # `sh` closes or redirects the descriptor before Python starts.
+    argv = [example_file if arg == "FILE" else arg for arg in args]
+    script = f'exec "$0" -m guardres.cli "$@" {redirect}'
+    assert _fresh_process(["sh", "-c", script, sys.executable, *argv],
+                          stdout=subprocess.DEVNULL) == (2, f"error: {message}\n")
+
+
+def test_closed_reader_pipe_in_a_fresh_process_exits_2(tmp_path):
+    # The reader is gone before the writer starts, so every write meets EPIPE.
+    path = tmp_path / "pairs.lp"
+    path.write_text(_choice_pairs_text(14))
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        result = _fresh_process(
+            [sys.executable, "-m", "guardres.cli", "solve", str(path), "--engine", "completion"],
+            stdout=write_end)
+    finally:
+        os.close(write_end)
+    assert result == (2, f"error: cannot write stdout: {os.strerror(errno.EPIPE)}\n")

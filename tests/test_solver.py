@@ -198,6 +198,20 @@ def test_solve_respects_limit():
     assert solve_stable(example_program(), 0) == []
 
 
+def test_solve_empty_program_has_one_empty_candidate():
+    # No atoms: one candidate, the empty tuple, whose one model is the empty set.
+    stats = SolveStats()
+    assert solve_stable(prog(""), stats=stats) == [(frozenset(), ())]
+    assert stats == SolveStats(0, 1, 1, 0, 0)
+
+
+def test_solve_limit_zero_checks_no_candidate():
+    stats = SolveStats()
+    assert solve_stable(example_program(), 0, stats=stats) == []
+    assert stats.candidates_checked == 0
+    assert stats.program_size == example_program().size()
+
+
 def test_support_subequation_rejects_mismatched_proof():
     program = example_program()
     q, s = program.atoms.id_of("q"), program.atoms.id_of("s")
