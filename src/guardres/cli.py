@@ -10,8 +10,9 @@ out at 78 columns whatever the terminal, so `COLUMNS` changes nothing.
 `run` alone reads, writes and maps errors: it reads FILE (or stdin for
 `-`) as bytes and decodes them once, hands the program to a subcommand
 that returns its stdout text and exit code, and writes and flushes that
-text once.  `main`, the process entry, keeps the interpreter's exit
-flush from raising a write error a second time.
+text once, or writes one `error: ` line to stderr, never to stdout.
+`main`, the process entry, keeps the interpreter's exit flush from
+raising a write error a second time.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ import argparse
 import os
 import sys
 from collections.abc import Sequence
+from contextlib import suppress
 from functools import partial
 
 from .completion import build_completion, dung_transform, format_equations, models_of_completion
@@ -261,7 +263,8 @@ def run(argv: Sequence[str] | None = None) -> int:
             out, code = _COMMANDS[args.command](args, _read_program(args.file))
         _write_stdout(out)
     except (ParseError, _CliError, ResourceLimitError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        with suppress(AttributeError, OSError):  # as argparse writes its usage errors
+            sys.stderr.write(f"error: {exc}\n")
         return 3 if isinstance(exc, ResourceLimitError) else 2
     return code
 
@@ -269,15 +272,16 @@ def run(argv: Sequence[str] | None = None) -> int:
 def main() -> None:
     code = run()
     # A failed write leaves its text buffered, and the interpreter's exit
-    # flush would raise on it again; point fd 1 at the null device instead,
-    # as the `signal` module's note on SIGPIPE advises.
-    try:
-        if sys.stdout is not None:
-            sys.stdout.flush()
-    except OSError:
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
-        os.close(devnull)
+    # flush would raise on it again; point the stream's descriptor at the
+    # null device instead, as the `signal` module's note on SIGPIPE advises.
+    for stream in filter(None, (sys.stdout, sys.stderr)):
+        try:
+            stream.flush()
+        except OSError:
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            if devnull != stream.fileno():  # it took the stream's closed fd: keep it
+                os.dup2(devnull, stream.fileno())
+                os.close(devnull)
     sys.exit(code)
 
 

@@ -15,6 +15,7 @@ __all__ = ("AtomTable", "Clause", "Program", "ResourceLimitError",
 
 import re
 from collections.abc import Iterable, Iterator
+from operator import attrgetter
 
 _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 
@@ -32,27 +33,29 @@ class Record:
     """Immutable value record over `__slots__`.
 
     Within one type, records are equal when their fields are, and hash by
-    the tuple of their fields.  `__eq__` and `__hash__` are compiled per
-    class, as a dataclass's are, unless the class defines them.  A theory
-    is not a record but a tuple of `completion.Equation` records.
+    the tuple of their fields.  Each class gets one field getter,
+    `operator.attrgetter` over its slots (two or more, so the getter
+    returns a tuple), which equality, hashing, `repr` and pickling all
+    read unless the class defines its own.  A theory is not a record but
+    a tuple of `completion.Equation` records.
     """
 
     __slots__ = ()
 
     def __init_subclass__(cls):
-        mine = "".join(f"self.{name}, " for name in cls.__slots__)
-        theirs = mine.replace("self.", "other.")
-        namespace: dict = {}
-        exec(f"def __eq__(self, other):\n"
-             f"    if other.__class__ is self.__class__: return ({mine}) == ({theirs})\n"
-             f"    return NotImplemented\n"
-             f"def __hash__(self): return hash(({mine}))\n", namespace)
-        cls.__eq__ = cls.__dict__.get("__eq__", namespace["__eq__"])
-        cls.__hash__ = cls.__dict__.get("__hash__", namespace["__hash__"])
+        cls._fields = attrgetter(*cls.__slots__)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._fields(self) == self._fields(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._fields(self))
 
     def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
-        return f"{type(self).__qualname__}({fields})"
+        fields = map("{}={!r}".format, self.__slots__, self._fields(self))
+        return f"{type(self).__qualname__}({', '.join(fields)})"
 
     def __setattr__(self, name: str, value: object = None) -> None:
         raise AttributeError(f"cannot assign to or delete field {name!r}")
@@ -60,7 +63,7 @@ class Record:
     __delattr__ = __setattr__
 
     def __reduce__(self):
-        return type(self), tuple(getattr(self, name) for name in self.__slots__)
+        return type(self), self._fields(self)
 
 
 class AtomTable:
@@ -128,21 +131,14 @@ class Program:
     def __init__(self, atoms: AtomTable, clauses: Iterable[Clause]):
         atoms.freeze()
         n = len(atoms)
-        seen: set[Clause] = set()
-        kept: list[Clause] = []
-        for clause in clauses:
-            for atom_id in (clause.head, *clause.pos_body, *clause.neg_body):
-                if not 0 <= atom_id < n:
-                    raise ValueError(f"clause uses unregistered atom id {atom_id}")
-            if clause in seen:
-                continue
-            seen.add(clause)
-            kept.append(clause)
         self.atoms = atoms
-        self.clauses: tuple[Clause, ...] = tuple(kept)
+        self.clauses: tuple[Clause, ...] = tuple(dict.fromkeys(clauses))
         by_head: dict[int, list[Clause]] = {}
         using: dict[int, list[int]] = {}
         for idx, clause in enumerate(self.clauses):
+            for atom_id in (clause.head, *clause.pos_body, *clause.neg_body):
+                if not 0 <= atom_id < n:
+                    raise ValueError(f"clause uses unregistered atom id {atom_id}")
             by_head.setdefault(clause.head, []).append(clause)
             for atom_id in clause.pos_body:
                 using.setdefault(atom_id, []).append(idx)

@@ -8,9 +8,9 @@ atom false first — so model orders are reproducible and golden tests
 stay byte-stable.  A search takes an atom count and a clause sequence
 and indexes the clauses as given, in one pass that builds occurrence
 lists, collects the unit literals and notes an empty clause; an empty
-clause means "no model" only once every literal and every assumption is
-known to lie inside the theory.
-`dpll_solve` branches from the lowest atom id up.
+clause means "no model" only once every literal is known to lie inside
+the theory.  `dpll_solve` adds its assumptions as unit clauses after the
+theory's own and branches from the lowest atom id up.
 Enumeration is the same search continued past each model, with no
 blocking clauses, no restarts and no sort: branching from the highest id
 down, it meets the models in ascending bitmask order.  A defining
@@ -165,10 +165,9 @@ def _assign(atom: int, value: bool, clauses: Sequence[frozenset[Literal]],
     return True
 
 
-def _search(n: int, clauses: Sequence[frozenset[Literal]], order: Sequence[int],
-            assumptions: Mapping[int, bool] | None = None) -> Iterator[frozenset[int]]:
-    """Yield every model of `clauses`, over atom ids `0 .. n - 1`, that
-    extends `assumptions`, in depth-first order.
+def _search(n: int, clauses: Sequence[frozenset[Literal]],
+            order: Sequence[int]) -> Iterator[frozenset[int]]:
+    """Yield every model of `clauses`, over atom ids `0 .. n - 1`, depth first.
 
     One search per call: the clauses are compiled once, assignments live
     on an explicit trail, and after each total model the search simply
@@ -177,17 +176,11 @@ def _search(n: int, clauses: Sequence[frozenset[Literal]], order: Sequence[int],
     arrive in lexicographic order over `order`, false before true.
     """
     falsified_by, units, empty = _compile(n, clauses)
-    values: list[bool | None] = [None] * n
-    trail: list[int] = []
-
-    roots = [(atom, bool(value)) for atom, value in (assumptions or {}).items()]
-    for atom, _ in roots:
-        if not 0 <= atom < n:
-            raise ValueError(f"assumption on atom id {atom} outside the theory")
     if empty:
         return
-    roots += units
-    for atom, value in roots:
+    values: list[bool | None] = [None] * n
+    trail: list[int] = []
+    for atom, value in units:
         if values[atom] is None:
             if not _assign(atom, value, clauses, falsified_by, values, trail):
                 return
@@ -223,11 +216,17 @@ def dpll_solve(theory: CnfTheory,
                assumptions: Mapping[int, bool] | None = None) -> dict | None:
     """A total satisfying assignment extending `assumptions`, or None.
 
-    Deterministic: propagate to closure, then branch on the lowest
-    unassigned atom id with false first.
+    Deterministic: the assumptions, checked to lie inside the theory, are
+    unit clauses after the theory's own; propagate to closure, then branch
+    on the lowest unassigned atom id with false first.
     """
     n = len(theory.atoms)
-    model = next(_search(n, theory.clauses, range(n), assumptions), None)
+    roots = []
+    for atom, value in (assumptions or {}).items():
+        if not 0 <= atom < n:
+            raise ValueError(f"assumption on atom id {atom} outside the theory")
+        roots.append(frozenset([(atom, bool(value))]))
+    model = next(_search(n, (*theory.clauses, *roots), range(n)), None)
     if model is None:
         return None
     return {atom: atom in model for atom in range(n)}

@@ -727,6 +727,48 @@ def test_io_failure_in_a_fresh_process_exits_2(example_file, args, redirect, mes
                           stdout=subprocess.DEVNULL) == (2, f"error: {message}\n")
 
 
+def _bad_and_big_files(tmp_path):
+    """A program that fails to parse, and one whose brute-force search is over the cap."""
+    bad, big = tmp_path / "bad.lp", tmp_path / "big.lp"
+    bad.write_text("p :- .\n")
+    big.write_text("".join(f"f{i}.\n" for i in range(21)))
+    return {"bad": ["solve", str(bad)], "big": ["solve", str(big), "--engine", "brute"]}
+
+
+def test_missing_stderr_keeps_the_exit_code_and_stdout_empty(tmp_path, monkeypatch, capsys):
+    # `print(file=None)` would have fallen back to stdout.
+    monkeypatch.setattr(sys, "stderr", None)
+    assert run(_bad_and_big_files(tmp_path)["bad"]) == 2
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("case, code", [("bad", 2), ("big", 3)])
+def test_failing_stderr_keeps_the_exit_code(tmp_path, monkeypatch, capsys, case, code):
+    stderr = io.StringIO()
+
+    def fail(*args):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    monkeypatch.setattr(stderr, "write", fail)
+    monkeypatch.setattr(sys, "stderr", stderr)
+    assert run(_bad_and_big_files(tmp_path)[case]) == code
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs sh and /dev/full")
+@pytest.mark.parametrize("case, redirect, code", [
+    ("bad", "2>&-", 2), ("bad", "2> /dev/full", 2), ("big", "2> /dev/full", 3),
+], ids=["closed-stderr", "full-stderr", "full-stderr-limit"])
+def test_stderr_failure_in_a_fresh_process_keeps_the_exit_code(tmp_path, case, redirect, code):
+    argv = _bad_and_big_files(tmp_path)[case]
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    script = f'exec "$0" -m guardres.cli "$@" {redirect}'
+    done = subprocess.run(["sh", "-c", script, sys.executable, *argv], env=env,
+                          stdout=subprocess.PIPE, timeout=60)
+    assert (done.returncode, done.stdout) == (code, b"")
+
+
 def test_closed_reader_pipe_in_a_fresh_process_exits_2(tmp_path):
     # The reader is gone before the writer starts, so every write meets EPIPE.
     path = tmp_path / "pairs.lp"

@@ -72,3 +72,14 @@ def test_every_import_is_used_or_exported():
     unused = set().union(*(_unused_imports(path) for path in paths
                            if path.name != "__init__.py"))
     assert unused == TRACED_IMPORTS
+
+
+def test_package_runs_no_generated_code():
+    # Records read their fields through one getter; nothing is built from source text.
+    calls = set()
+    for path in sorted(Path(guardres.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        calls.update((path.name, node.func.id) for node in ast.walk(tree)
+                     if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                     and node.func.id in ("exec", "eval", "compile"))
+    assert calls == set()

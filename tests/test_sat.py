@@ -266,6 +266,16 @@ def test_search_matches_truth_tables(case):
             assert assignment is None
 
 
+@settings(max_examples=300, deadline=None)
+@given(_cnf_with_assumptions())
+def test_assumptions_are_unit_clauses(case):
+    # Unit propagation reaches one closure in any order, so the first model is the same.
+    theory, assumptions = case
+    units = [[(atom, value)] for atom, value in assumptions.items()]
+    with_units = CnfTheory.from_literals(theory.atoms, [*theory.clauses, *units])
+    assert dpll_solve(theory, assumptions) == dpll_solve(with_units)
+
+
 @st.composite
 def _random_cnfs(draw):
     """1 to 10 atoms, n to n + 6 distinct clauses of 1 to 3 literals: few
@@ -330,6 +340,9 @@ def test_out_of_range_errors_come_before_the_empty_clause():
         enumerate_models(with_bad_literal)
     with pytest.raises(ValueError, match="literal on atom id 3"):
         dpll_solve(with_bad_literal)
+    # `dpll_solve` checks its assumptions before the search compiles the clauses.
+    with pytest.raises(ValueError, match="assumption on atom id 7"):
+        dpll_solve(with_bad_literal, {7: True})
     empty = CnfTheory(AtomTable(["a"]), [frozenset()])
     with pytest.raises(ValueError, match="assumption on atom id 7"):
         dpll_solve(empty, {7: True})

@@ -202,7 +202,7 @@ def _completion_literals(program) -> int:
 
 
 @pytest.mark.xfail(strict=True, reason="each E_P equation spells out its whole guard "
-                   "(ROADMAP item 6)")
+                   "(ROADMAP item 4)")
 def test_guarded_chain_completion_literals_are_linear():
     # 2,941 -> 11,881 at n = 200 -> 400 (x4.04), `not z_i` on every 20th level.
     counts = [_completion_literals(prog(reversed_chain_text(n, 20))) for n in (200, 400)]
