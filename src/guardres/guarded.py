@@ -25,10 +25,10 @@ copies would keep O(n·k).  No table interns guards across calls, so a
 discarded proof frees its guards with it.
 
 Nothing here recurses on the depth of a program or a proof: saturation
-runs a worklist, every proof-tree walk keeps an explicit stack, and lazy
-enumeration runs one generator per goal (an atom to derive) under a
-driver loop that keeps the goals of the current branch on a stack, so
-chains thousands of levels deep stay in reach.
+runs a worklist, `ProofTree.walk`, the one pre-order of a proof, keeps
+an explicit stack, and lazy enumeration runs one generator per goal (an
+atom to derive) under a driver loop that keeps the goals of the current
+branch on a stack, so chains thousands of levels deep stay in reach.
 """
 
 from __future__ import annotations
@@ -95,9 +95,9 @@ class ProofTree(Record):
     is a leaf, and `ProofTree.resolve(clause_parent, atom_parent)` is the
     only inner node there is: it is labeled with the resolvent of its two
     parents' labels, so a tree is fixed by its leaves and its shape.  The
-    root of a complete proof is a guarded atom.  That flat form, the
-    pre-order with each leaf's label and None for each inner node, is
-    what equality, hashing, copying and pickling read, all iteratively.
+    root of a complete proof is a guarded atom.  `walk()` is the one
+    pre-order: printing, s-expressions and the flat form (leaf labels, None
+    per inner node) read by equality, hashing, copying and pickling use it.
     """
 
     __slots__ = ("label", "clause_parent", "atom_parent")
@@ -120,15 +120,18 @@ class ProofTree(Record):
     def is_leaf(self) -> bool:
         return self.clause_parent is None
 
-    def nodes(self) -> Iterator["ProofTree"]:
-        """Pre-order: a node, then its clause parent's subtree, then its atom parent's."""
-        stack = [self]
+    def walk(self) -> Iterator[tuple["ProofTree", int]]:
+        """Pre-order `(node, depth)`: a node, its clause parent's tree, its atom parent's."""
+        stack = [(self, 0)]
         while stack:
-            node = stack.pop()
-            yield node
+            node, depth = stack.pop()
+            yield node, depth
             if node.clause_parent is not None:
-                stack.append(node.atom_parent)
-                stack.append(node.clause_parent)
+                stack.append((node.atom_parent, depth + 1))
+                stack.append((node.clause_parent, depth + 1))
+
+    def nodes(self) -> Iterator["ProofTree"]:
+        return (node for node, _ in self.walk())
 
     def leaves(self) -> Iterator["ProofTree"]:
         for node in self.nodes():
@@ -416,12 +419,10 @@ def enumerate_supports(program: Program,
 
 
 def format_proof(tree: ProofTree, table: AtomTable) -> str:
-    """One node per line, root first, children indented by depth."""
+    """One line per node in `walk()` order, led by the node's depth."""
     names = table.names
     lines: list[str] = []
-    stack: list[tuple[ProofTree, int]] = [(tree, 0)]
-    while stack:
-        node, depth = stack.pop()
+    for node, depth in tree.walk():
         label = node.label
         guard = ", ".join([names[a] for a in sorted(label.neg_body)])
         if label.pos_body:
@@ -429,26 +430,24 @@ def format_proof(tree: ProofTree, table: AtomTable) -> str:
             lines.append(f"{depth}| {names[label.head]} <- {body} : {{{guard}}}")
         else:
             lines.append(f"{depth}| {names[label.head]} : {{{guard}}}")
-        if node.atom_parent is not None:
-            stack.append((node.atom_parent, depth + 1))
-        if node.clause_parent is not None:
-            stack.append((node.clause_parent, depth + 1))
     return "\n".join(lines) + "\n"
 
 
 def proof_to_sexp(tree: ProofTree, table: AtomTable) -> str:
-    """S-expression form for machine round-trips; inner labels are implicit."""
+    """S-expression form for machine round-trips; inner labels are implicit.
+
+    In `walk()` order an inner node opens `(step`; each later node follows
+    one `)` per level the walk climbs to reach it and a space.
+    """
     parts: list[str] = []
-    stack: list[ProofTree | str] = [tree]
-    while stack:
-        item = stack.pop()
-        if isinstance(item, str):
-            parts.append(item)
-            continue
-        label = item.label
-        if not item.is_leaf:
-            stack.extend((")", item.atom_parent, " ", item.clause_parent))
-            parts.append("(step ")
+    previous = 0
+    for node, depth in tree.walk():
+        if parts:
+            parts.append(")" * (previous - depth) + " ")
+        previous = depth
+        label = node.label
+        if not node.is_leaf:
+            parts.append("(step")
             continue
         guard = " ".join(table.name(a) for a in sorted(label.neg_body))
         if label.pos_body:
@@ -456,6 +455,7 @@ def proof_to_sexp(tree: ProofTree, table: AtomTable) -> str:
             parts.append(f"(clause {table.name(label.head)} ({body}) ({guard}))")
         else:
             parts.append(f"(atom {table.name(label.head)} ({guard}))")
+    parts.append(")" * previous)
     return "".join(parts)
 
 

@@ -180,12 +180,11 @@ def _search(n: int, clauses: Sequence[frozenset[Literal]],
         return
     values: list[bool | None] = [None] * n
     trail: list[int] = []
+    # A set atom agrees with its unit: `_assign` meets an opposite unit's clause.
     for atom, value in units:
         if values[atom] is None:
             if not _assign(atom, value, clauses, falsified_by, values, trail):
                 return
-        elif values[atom] != value:
-            return
 
     # Open decisions as (trail length before it, its position in `order`); each holds false.
     decisions: list[tuple[int, int]] = []

@@ -675,12 +675,16 @@ def test_closed_stdin_exits_2(monkeypatch, capsys):
     assert captured.err == "error: cannot read -: stdin is closed\n"
 
 
-def test_closed_stdout_exits_2(example_file, monkeypatch):
-    err = io.StringIO()
+def test_closed_stdout_exits_2(example_file, odd_file, monkeypatch):
     monkeypatch.setattr(sys, "stdout", None)
-    with redirect_stderr(err):
-        assert run(["solve", example_file]) == 2
-    assert err.getvalue() == "error: cannot write stdout: stdout is closed\n"
+    for path, code, message in (
+            (example_file, 2, "error: cannot write stdout: stdout is closed\n"),
+            # No stable model leaves nothing to write, so a closed stdout is no error.
+            (odd_file, 10, "")):
+        err = io.StringIO()
+        with redirect_stderr(err):
+            assert run(["solve", path]) == code
+        assert err.getvalue() == message
 
 
 @pytest.mark.parametrize("method", ["write", "flush"])

@@ -384,11 +384,24 @@ def test_guarded_layer_matches_reference_property(program):
     check_guarded_layer(program, stream_cap=2000)
 
 
+def _recursive_walk(node, depth=0):
+    """`ProofTree.walk` as a recursive pre-order."""
+    yield node, depth
+    if not node.is_leaf:
+        yield from _recursive_walk(node.clause_parent, depth + 1)
+        yield from _recursive_walk(node.atom_parent, depth + 1)
+
+
 @settings(max_examples=200, deadline=None)
 @given(small_programs())
 def test_proof_sexp_roundtrip_property(program):
     for atom in range(len(program.atoms)):
         for _, tree in islice(enumerate_supports(program, atom), 50):
+            walk = [(id(node), depth) for node, depth in tree.walk()]
+            assert walk == [(id(node), depth) for node, depth in _recursive_walk(tree)]
+            lines = format_proof(tree, program.atoms).splitlines()
+            assert len(lines) == tree.size()
+            assert [line.split("| ", 1)[0] for line in lines] == [str(d) for _, d in walk]
             text = proof_to_sexp(tree, program.atoms)
             assert proof_from_sexp(text, program.atoms) == tree
 

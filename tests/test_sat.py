@@ -250,6 +250,10 @@ def _cnf_with_assumptions(draw):
 @given(_cnf_with_assumptions())
 @example((CnfTheory(AtomTable([]), []), {}))
 @example((CnfTheory.from_literals(AtomTable([]), [[]]), {}))
+# Two root units that clash, directly and through propagation: no model.
+@example((CnfTheory.from_literals(AtomTable(["a"]), [[(0, True)], [(0, False)]]), {}))
+@example((CnfTheory.from_literals(AtomTable(["a", "b"]),
+                                  [[(0, True)], [(0, False), (1, True)], [(1, False)]]), {}))
 def test_search_matches_truth_tables(case):
     theory, assumptions = case
     n = len(theory.atoms)
