@@ -26,7 +26,7 @@ from functools import partial
 
 from .completion import build_completion, dung_transform, format_equations, models_of_completion
 from .core import Program, ResourceLimitError, format_interpretation
-from .guarded import format_proof, saturate_supports
+from .guarded import _first_proofs, format_proof, saturate_supports
 from .parse import ParseError, parse_program, render_program
 from .sat import export_dimacs, program_to_cnf
 from .semantics import (
@@ -184,16 +184,21 @@ def _cmd_supports(args: argparse.Namespace, program: Program) -> tuple[str, int]
     if args.atom not in program.atoms:
         raise _CliError(f"unknown atom {args.atom!r}")
     atom = program.atoms.id_of(args.atom)
-    table = saturate_supports(program)
-    proofs = table.certificates(atom) if args.proofs else {}
-    for guard, proof in proofs.items():
-        # Certified as `solve --certs` certifies its proofs, before any is printed.
-        support_subequation(program, atom, guard, proof)
+    # Only the atom's guards outlive the table, and only texts outlive the
+    # proofs: each proof is certified, as `solve --certs` certifies its
+    # proofs, and rendered as the pass finds it, and the texts are joined
+    # in canonical order only once every proof is certified.
+    guards = saturate_supports(program).supports(atom)
+    proof_texts: dict[frozenset[int], str] = {}
+    if args.proofs:
+        for guard, proof in _first_proofs(program, atom, guards):
+            support_subequation(program, atom, guard, proof)
+            proof_texts[guard] = format_proof(proof, program.atoms)
     out: list[str] = []
-    for guard in table.supports(atom):
+    for guard in guards:
         out.append(format_interpretation(program.atoms, guard) + "\n")
         if args.proofs:
-            out.append(format_proof(proofs[guard], program.atoms))
+            out.append(proof_texts[guard])
     return "".join(out), 0
 
 

@@ -29,6 +29,12 @@ runs a worklist, `ProofTree.walk`, the one pre-order of a proof, keeps
 an explicit stack, and lazy enumeration runs one generator per goal (an
 atom to derive) under a driver loop that keeps the goals of the current
 branch on a stack, so chains thousands of levels deep stay in reach.
+
+A stored support's proof is its first proof in lazy enumeration, and
+`_first_proofs` is the one pass that finds them: `SupportTable.certificates`
+collects it into a dict, and `supports --proofs` certifies and renders
+each proof as it comes, after the table is gone.  The pass closes the
+search before it hands out the last proof.
 """
 
 from __future__ import annotations
@@ -38,7 +44,7 @@ __all__ = ("ProofError", "ProofTree", "SupportTable", "admits", "enumerate_suppo
            "saturate_supports", "verify_proof")
 
 from collections import deque
-from collections.abc import Callable, Iterator
+from collections.abc import Callable, Iterable, Iterator
 from itertools import product
 
 from .core import EMPTY, AtomTable, Clause, Program, Record, ResourceLimitError, set_field
@@ -209,9 +215,10 @@ class SupportTable:
     atom sorts one antichain.  The table keeps guards only; the verifying
     ProofTree of an entry is the first proof of its guard in
     lazy-enumeration order, recovered on demand by `certificates` (every
-    entry of an atom, in one enumeration pass); `certificate` picks one
-    entry from it.  `derivations` is the derivation count of the
-    saturation that built the table (see `saturate_supports`).
+    entry of an atom, in the one `_first_proofs` pass, which
+    `supports --proofs` also runs); `certificate` picks one entry from
+    it.  `derivations` is the derivation count of the saturation that
+    built the table (see `saturate_supports`).
     """
 
     def __init__(self, program: Program, antichains: dict, derivations: int):
@@ -247,20 +254,10 @@ class SupportTable:
     def certificates(self, atom: int) -> dict[frozenset[int], ProofTree]:
         """Every entry of `atom` with its first proof in lazy enumeration.
 
-        A single lazy-enumeration pass, stopped once every stored guard
-        has been seen; the dict lists the guards in order of their first
-        appearance in that pass.
+        The `_first_proofs` pass over the stored guards, so the dict lists
+        them in order of their first appearance in lazy enumeration.
         """
-        wanted = set(self._chains.get(atom, ()))
-        proofs: dict[frozenset[int], ProofTree] = {}
-        if not wanted:
-            return proofs
-        for guard, tree in enumerate_supports(self._program, atom):
-            if guard in wanted and guard not in proofs:
-                proofs[guard] = tree
-                if len(proofs) == len(wanted):
-                    return proofs
-        raise RuntimeError("stored support missing from lazy enumeration")
+        return dict(_first_proofs(self._program, atom, self._chains.get(atom, ())))
 
     def by_name(self) -> dict:
         """Name-keyed copy, comparable across programs and atom tables."""
@@ -416,6 +413,30 @@ def enumerate_supports(program: Program,
             return
         else:
             yield item.label.neg_body, item
+
+
+def _first_proofs(program: Program, atom: int, guards: Iterable[frozenset[int]],
+                  ) -> Iterator[tuple[frozenset[int], ProofTree]]:
+    """The one lazy pass: each of `guards` with its first proof, as first met.
+
+    Pairs come in order of the guard's first appearance in
+    `enumerate_supports`, and nothing is enumerated when `guards` is
+    empty.  The search is closed before the last pair is handed out, so
+    its goal stack is freed before that proof is read.  Raises
+    RuntimeError when the search ends with a guard still unseen.
+    """
+    wanted = set(guards)
+    if not wanted:
+        return
+    for guard, proof in enumerate_supports(program, atom):
+        if guard in wanted:
+            wanted.remove(guard)
+            if not wanted:
+                break
+            yield guard, proof
+    else:
+        raise RuntimeError("stored support missing from lazy enumeration")
+    yield guard, proof
 
 
 def format_proof(tree: ProofTree, table: AtomTable) -> str:

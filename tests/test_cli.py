@@ -12,8 +12,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from guardres import cli, guarded
 from guardres.cli import run
-from guardres import ProofError, SupportTable, format_interpretation, parse_program
+from guardres import (ProofError, format_interpretation, parse_program, render_program,
+                      saturate_supports)
 
 from corpus import (
     EXAMPLE_TEXT,
@@ -24,6 +26,7 @@ from corpus import (
     reference_format_proof,
     reference_saturate_supports,
     reversed_chain_text,
+    small_programs,
 )
 
 
@@ -346,16 +349,30 @@ def test_supports_with_proofs(example_file, capsys):
     )
 
 
+def _corrupt_first_proofs(monkeypatch, corrupt):
+    """Patch the lazy pass `supports` runs so that `corrupt` rewrites its two pairs."""
+    first_proofs = cli._first_proofs
+
+    def corrupted(program, atom, guards):
+        yield from corrupt(*first_proofs(program, atom, guards))
+
+    monkeypatch.setattr(cli, "_first_proofs", corrupted)
+
+
 def test_supports_proofs_refuses_a_proof_of_another_guard(example_file, monkeypatch,
                                                          capsys):
     # p's supports {q} and {r} get each other's proof.
-    certificates = SupportTable.certificates
+    _corrupt_first_proofs(monkeypatch, lambda first, second: (
+        (first[0], second[1]), (second[0], first[1])))
+    with pytest.raises(ProofError):
+        run(["supports", example_file, "--atom", "p", "--proofs"])
+    assert capsys.readouterr().out == ""
 
-    def swapped(table, atom):
-        (first, first_proof), (second, second_proof) = certificates(table, atom).items()
-        return {first: second_proof, second: first_proof}
 
-    monkeypatch.setattr(SupportTable, "certificates", swapped)
+def test_supports_proofs_refuses_a_bad_last_proof(example_file, monkeypatch, capsys):
+    # {q} keeps its proof; {r}, the last pair, handed out after the search is
+    # closed, gets the proof of {q}.
+    _corrupt_first_proofs(monkeypatch, lambda first, second: (first, (second[0], first[1])))
     with pytest.raises(ProofError):
         run(["supports", example_file, "--atom", "p", "--proofs"])
     assert capsys.readouterr().out == ""
@@ -385,6 +402,39 @@ def test_supports_proofs_golden(tmp_path, capsys, text, top):
     out = capsys.readouterr().out
     assert out == _reference_supports_text(text, top)
     assert out.count("\n0| ") == (13 if top == "a12" else 1)
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_programs())
+def test_supports_proofs_print_in_canonical_order_property(program):
+    # Proofs are rendered as the lazy pass meets them, which need not be the
+    # canonical order that `supports` prints.
+    text = render_program(program)
+    for name in parse_program(text).atoms.names:
+        expected = (_reference_supports_text(text, name), "", 0)
+        assert _run_captured(["supports", "-", "--atom", name, "--proofs"],
+                             stdin=text.encode()) == expected
+
+
+def test_stored_support_missing_from_the_lazy_pass_raises(example_file, monkeypatch, capsys):
+    # The search loses every proof of p's stored support {r}.
+    enumerate_supports = guarded.enumerate_supports
+
+    def without_r(program, atom):
+        r = program.atoms.id_of("r")
+        return (pair for pair in enumerate_supports(program, atom) if pair[0] != {r})
+
+    monkeypatch.setattr(guarded, "enumerate_supports", without_r)
+    program = parse_program(EXAMPLE_TEXT)
+    table = saturate_supports(program)
+    message = "^stored support missing from lazy enumeration$"
+    with pytest.raises(RuntimeError, match=message) as raised:
+        table.certificates(program.atoms.id_of("p"))
+    assert type(raised.value) is RuntimeError
+    with pytest.raises(RuntimeError, match=message) as raised:
+        run(["supports", example_file, "--atom", "p", "--proofs"])
+    assert type(raised.value) is RuntimeError
+    assert capsys.readouterr().out == ""
 
 
 DEEP_LEVELS = 3000

@@ -25,12 +25,14 @@ from guardres import (
     gl_operator,
     gl_reduct,
     guarded_resolve,
+    parse_program,
     proof_from_sexp,
     proof_to_sexp,
     saturate_supports,
     verify_proof,
 )
 from guardres import guarded
+from guardres.cli import run
 from guardres.core import EMPTY
 
 from corpus import (
@@ -618,6 +620,39 @@ def test_guarded_chain_memory_is_shared():
     assert full < 2.8 * half
 
 
+def _held_peak(text, top):
+    """The traced peak of holding a program, its table, top's proofs and their texts."""
+    tracemalloc.start()
+    try:
+        program = parse_program(text)
+        proofs = saturate_supports(program).certificates(program.atoms.id_of(top))
+        texts = [format_proof(proof, program.atoms) for proof in proofs.values()]
+        assert texts
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("rung_first", [False, True], ids=["chain-first", "rung-first"])
+def test_supports_proofs_holds_one_stage_at_a_time(tmp_path, capsys, rung_first):
+    # `supports --proofs` frees the table before the lazy pass and keeps only
+    # each proof's text, so it peaks near half of holding everything at once.
+    text = ladder_text(40, rung_first=rung_first)
+    path = tmp_path / "ladder.lp"
+    path.write_text(text)
+    argv = ["supports", str(path), "--atom", "a40", "--proofs"]
+    assert run(argv) == 0  # warm-up
+    expected = capsys.readouterr().out
+    tracemalloc.start()
+    try:
+        assert run(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert capsys.readouterr().out == expected
+    assert peak <= 0.75 * _held_peak(text, "a40")
+
+
 @settings(max_examples=200, deadline=None)
 @given(small_programs())
 def test_resolution_shares_guards_property(program):
@@ -666,6 +701,27 @@ def test_lazy_search_leaves_no_garbage_cycles():
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def test_lazy_pass_closes_the_search_before_the_last_proof(monkeypatch):
+    # A deep chain's goal stack is freed before its only proof is read.
+    events = []
+    enumerate_supports = guarded.enumerate_supports
+
+    def watched(program, atom):
+        try:
+            yield from enumerate_supports(program, atom)
+        finally:
+            events.append("closed")
+
+    monkeypatch.setattr(guarded, "enumerate_supports", watched)
+    program = example_program()
+    p = program.atoms.id_of("p")
+    for guard, _ in guarded._first_proofs(program, p, saturate_supports(program).supports(p)):
+        events.append(names_of(program, guard))
+    assert events == [{"q"}, "closed", {"r"}]
+    assert list(guarded._first_proofs(program, program.atoms.id_of("r"), ())) == []
+    assert events == [{"q"}, "closed", {"r"}]
 
 
 def test_format_proof_golden():
